@@ -13,18 +13,30 @@ Candidates within TIE_EPS of the final minimum are then re-ordered exactly
 through their integer characteristic polynomials, so the reported argmin set
 is a statement about integers, not floats.
 
-Exactness notes for the kernel: a size-n pattern Y has at most n(n+1)/2
-ones, so every eigenvalue of Z = Y Y^T is at most s = n(n+1)/2.  All power
+Exactness notes for the kernel: Z is built straight from the row bitmasks
+of each packed index, Z_ij = popcount(row_i & row_j), through a 2^9-entry
+table; every entry is an integer of at most n, so no unpacked matrix of Y
+and no float product Y Y^T is needed.  A size-n pattern Y has at most
+n(n+1)/2 ones, so every eigenvalue of Z is at most s = n(n+1)/2.  All power
 products stay below n * s^n, which for n <= 9 is under 2^53; matrix products
 of nonnegative integers that small are exact in float64 no matter how the
 sums are ordered, so the BLAS-backed batched products are exact and
 reproducible.  Newton-identity accumulation happens in int64, where the same
-bound keeps every partial sum under 2^63.
+bound keeps every partial sum under 2^63.  The Newton identities and the
+Newton walk run on one row per coefficient, elementwise in the same order as
+the scalar pipeline, so every value is bit for bit the scalar one.
+
+The kernel works through a block in chunks of _CHUNK indices, small enough
+that a chunk's matrices stay in cache, and a scan_block call allocates its
+work buffers once and fills them again for every chunk.  Fresh arrays per
+chunk are each large enough to be mapped from the kernel and faulted in page
+by page, which cost more time than the arithmetic they hold.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 import time
@@ -50,7 +62,7 @@ TIE_EPS = 1e-9
 DEFAULT_BLOCK_SIZE = 1 << 20
 SEARCH_N_MAX = 9
 CHECKPOINT_VERSION = "1"
-_CHUNK = 1 << 14
+_CHUNK = 1 << 12
 _NEWTON_CAP = 500
 
 
@@ -143,102 +155,181 @@ def partition(n: int, block_size: int) -> list[tuple[int, int]]:
 
 # -- vectorized kernel -------------------------------------------------------
 
-
-def _positions(n: int) -> tuple[np.ndarray, np.ndarray]:
-    rows = np.repeat(np.arange(1, n), np.arange(1, n))
-    cols = np.concatenate([np.arange(i) for i in range(1, n)]) if n > 1 else np.array([], dtype=np.int64)
-    return rows, cols
+# popcount of every row mask a pattern with n <= SEARCH_N_MAX can have
+_POPCOUNT = np.array([bin(v).count("1") for v in range(1 << SEARCH_N_MAX)], dtype=np.uint8)
 
 
-def _values_for(n: int, idx: np.ndarray, newton_tol: float) -> np.ndarray:
+def _part(buf: np.ndarray, *shape: int) -> np.ndarray:
+    """The leading elements of a flat buffer, as a C-ordered array of ``shape``."""
+    return buf[: math.prod(shape)].reshape(shape)
+
+
+class _Workspace:
+    """Work buffers of the kernel for batches of up to ``size`` indices.
+
+    One workspace serves every chunk of a scan_block call; the module notes
+    say why the buffers are reused.
+    """
+
+    def __init__(self, n: int, size: int) -> None:
+        # the 2^53 bound of the exactness notes, raised rather than asserted
+        # so that it holds under python -O as well
+        if not 1 <= n <= SEARCH_N_MAX:
+            raise ValueError(f"exhaustive scan supports 1 <= n <= {SEARCH_N_MAX}, got {n}")
+        self.n = n
+        rows = np.arange(n)
+        # row i of a pattern sits in packed bits tri(i) .. tri(i) + i - 1
+        self.shift = (rows * (rows - 1) // 2)[:, None]
+        self.lower = ((1 << rows) - 1)[:, None]
+        self.diag = (1 << rows)[:, None]
+        # one popcount per row pair i <= j, the pairs of row i from
+        # pair_start[i]; sym maps entry (i, j) of Z to its pair
+        upper_i, upper_j = np.triu_indices(n)
+        self.npairs = upper_i.size
+        self.pair_start = np.concatenate(([0], np.cumsum(np.arange(n, 0, -1))))
+        sym = np.empty((n, n), dtype=np.intp)
+        sym[upper_i, upper_j] = sym[upper_j, upper_i] = np.arange(self.npairs)
+        self.sym = sym.ravel()
+        self.masks = np.empty(n * size, dtype=np.int64)
+        self.pairs = np.empty(self.npairs * size, dtype=np.int64)
+        self.counts = np.empty(self.npairs * size, dtype=np.uint8)
+        self.square = np.empty(n * n * size, dtype=np.uint8)
+        # Z^1 .. Z^ceil(n/2)
+        self.pows = [np.empty(n * n * size) for _ in range((n + 1) // 2)]
+        self.trace = np.empty(size)
+        self.p = np.empty((n + 1) * size, dtype=np.int64)
+        self.e = np.empty((n + 1) * size, dtype=np.int64)
+        self.prod = np.empty(size, dtype=np.int64)
+
+    def gram(self, idx: np.ndarray) -> np.ndarray:
+        """Z = Y Y^T for a batch of packed indices, as a C-ordered (B, n, n) view.
+
+        Z_ij = popcount(row_i & row_j) over the row bitmasks, unit diagonal
+        included, as core.gram computes it for one pattern.
+        """
+        n, bsz = self.n, idx.shape[0]
+        masks = _part(self.masks, n, bsz)
+        np.right_shift(idx, self.shift, out=masks)
+        masks &= self.lower
+        masks |= self.diag
+        pairs = _part(self.pairs, self.npairs, bsz)
+        for i in range(n):
+            lo, hi = self.pair_start[i], self.pair_start[i + 1]
+            np.bitwise_and(masks[i], masks[i:], out=pairs[lo:hi])
+        counts = _part(self.counts, self.npairs, bsz)
+        np.take(_POPCOUNT, pairs, out=counts, mode="clip")
+        square = _part(self.square, n * n, bsz)
+        np.take(counts, self.sym, axis=0, out=square, mode="clip")
+        # the batched matmul runs several times slower on a Fortran-ordered
+        # stack, so the transpose is copied into C order here
+        z = _part(self.pows[0], bsz, n, n)
+        z.reshape(bsz, n * n)[...] = square.T
+        return z
+
+
+def _values_for(
+    n: int, idx: np.ndarray, newton_tol: float, ws: _Workspace | None = None
+) -> np.ndarray:
     """Least Gram eigenvalues for a batch of packed indices.
 
     Mirrors the scalar pipeline operation for operation so a value never
-    depends on the batch it was computed in.
+    depends on the batch it was computed in.  ``ws`` lends its buffers;
+    without one a workspace sized to the batch is made.
     """
+    if ws is None:
+        ws = _Workspace(n, idx.shape[0])
     bsz = idx.shape[0]
-    m = tri(n)
-    y = np.zeros((bsz, n, n), dtype=np.float64)
-    if m:
-        bits = (idx[:, None] >> np.arange(m, dtype=np.int64)) & 1
-        rows, cols = _positions(n)
-        y[:, rows, cols] = bits
-    d = np.arange(n)
-    y[:, d, d] = 1.0
-
-    z = y @ y.transpose(0, 2, 1)
     half = (n + 1) // 2
-    pows = [None, z]
-    for _ in range(2, half + 1):
-        pows.append(pows[-1] @ z)
-    p = np.empty((bsz, n + 1), dtype=np.int64)
+    pows = [None, ws.gram(idx)]
+    for k in range(2, half + 1):
+        pows.append(np.matmul(pows[-1], pows[1], out=_part(ws.pows[k - 1], bsz, n, n)))
+    # all power sums are bounded by n * (n(n+1)/2)^n < 2^53 for n <= 9,
+    # so the float64 traces are exact integers
+    p = _part(ws.p, n + 1, bsz)
+    trace = ws.trace[:bsz]
     for k in range(1, n + 1):
         if k <= half:
-            tr = np.einsum("bii->b", pows[k])
+            np.einsum("bii->b", pows[k], out=trace)
         else:
-            tr = np.einsum("bij,bij->b", pows[half], pows[k - half])
-        p[:, k] = tr.astype(np.int64)
-    # all power sums are bounded by n * (n(n+1)/2)^n < 2^53 for n <= 9,
-    # so the float64 traces above are exact integers
-    assert n <= SEARCH_N_MAX
+            np.einsum("bij,bij->b", pows[half], pows[k - half], out=trace)
+        p[k] = trace
 
-    e = np.zeros((bsz, n + 1), dtype=np.int64)
-    e[:, 0] = 1
+    e = _part(ws.e, n + 1, bsz)
+    prod = ws.prod[:bsz]
+    e[0] = 1
     for k in range(1, n + 1):
-        acc = np.zeros(bsz, dtype=np.int64)
+        acc = e[k]
+        acc[...] = 0
         sign = 1
         for i in range(1, k + 1):
+            np.multiply(e[k - i], p[i], out=prod)
             if sign > 0:
-                acc += e[:, k - i] * p[:, i]
+                acc += prod
             else:
-                acc -= e[:, k - i] * p[:, i]
+                acc -= prod
             sign = -sign
         if k > 1:
-            if (acc % k).any():
+            np.remainder(acc, k, out=prod)
+            if prod.any():
                 raise ArithmeticError(f"Newton identity division not exact at k={k}")
             acc //= k
-        e[:, k] = acc
-    if not (e[:, n] == 1).all():
+    if not (e[n] == 1).all():
         raise ArithmeticError("unit determinant violated in scan kernel")
 
     coeffs = e.astype(np.float64)
-    coeffs[:, 1::2] *= -1.0
+    coeffs[1::2] *= -1.0
     return _newton_batch(coeffs, newton_tol)
 
 
 def _newton_batch(coeffs: np.ndarray, tol: float) -> np.ndarray:
-    """Vectorized twin of the scalar Newton walk, identical stop rules."""
-    bsz, w = coeffs.shape
+    """Vectorized twin of the scalar Newton walk, identical stop rules.
+
+    ``coeffs`` holds one coefficient per row, (w, B).  A column that has
+    stopped keeps its iterate and is only dropped from the arrays once half
+    of them have stopped, which keeps the gathers rare.
+    """
+    w, bsz = coeffs.shape
     abs_c = np.abs(coeffs)
     x = np.zeros(bsz)
-    alive = np.arange(bsz)
+    cols = np.arange(bsz)  # the x entry of each column still held
+    xa = np.zeros(bsz)
+    live = np.ones(bsz, dtype=bool)
+    q, dq, s = np.empty(bsz), np.empty(bsz), np.empty(bsz)
     for _ in range(_NEWTON_CAP):
-        if alive.size == 0:
-            return x
-        xa = x[alive]
-        ca = coeffs[alive]
-        aa = abs_c[alive]
-        q = ca[:, 0].copy()
-        dq = np.zeros_like(xa)
-        s = aa[:, 0].copy()
+        m = xa.size
+        q, dq, s = q[:m], dq[:m], s[:m]
+        q[...] = coeffs[0]
+        dq[...] = 0.0
+        s[...] = abs_c[0]
         for j in range(1, w):
-            dq = dq * xa + q
-            q = q * xa + ca[:, j]
-            s = s * xa + aa[:, j]
+            dq *= xa
+            dq += q
+            q *= xa
+            q += coeffs[j]
+            s *= xa
+            s += abs_c[j]
         noise_done = np.abs(q) <= NOISE_FLOOR * s
-        if (dq == 0.0)[~noise_done].any():
+        if ((dq == 0.0) & ~noise_done & live).any():
             raise ConvergenceError("stationary point hit before convergence")
         dq_safe = np.where(dq == 0.0, 1.0, dq)
         xn = xa - q / dq_safe
         step = xn - xa
         backstep = (step <= 0.0) & ~noise_done
-        if (backstep & (step < -_BACKSTEP * np.maximum(xa, 1.0))).any():
+        if (backstep & live & (step < -_BACKSTEP * np.maximum(xa, 1.0))).any():
             raise ConvergenceError("iterates left the monotone regime")
         # negative steps inside the jitter band park at the previous iterate
         xn = np.where(noise_done | backstep, xa, xn)
         done = noise_done | backstep | (step <= tol * xn)
-        x[alive] = xn
-        alive = alive[~done]
+        np.copyto(xa, xn, where=live)
+        live &= ~done
+        nlive = np.count_nonzero(live)
+        if 2 * nlive <= m:
+            x[cols] = xa
+            if nlive == 0:
+                return x
+            cols, xa = cols[live], xa[live]
+            coeffs, abs_c = coeffs[:, live], abs_c[:, live]
+            live = np.ones(nlive, dtype=bool)
     raise ConvergenceError(f"no convergence within {_NEWTON_CAP} iterations")
 
 
@@ -255,6 +346,7 @@ def scan_block(
     exceeds the threshold; their eigenvalues cannot reach the running
     minimum, so results are unchanged, only work is saved.
     """
+    ws = _Workspace(n, min(_CHUNK, max(stop - start, 0)))
     best = float("inf")
     cands: list[tuple[int, float]] = []
     count = 0
@@ -263,11 +355,11 @@ def scan_block(
         idx = np.arange(lo, hi, dtype=np.int64)
         count += idx.size
         if prune_threshold is not None:
-            keep = _gershgorin_floor(n, idx) <= prune_threshold
+            keep = _gershgorin_floor(ws.gram(idx)) <= prune_threshold
             idx = idx[keep]
             if idx.size == 0:
                 continue
-        vals = _values_for(n, idx, newton_tol)
+        vals = _values_for(n, idx, newton_tol, ws)
         vmin = float(vals.min())
         if vmin < best:
             best = vmin
@@ -277,17 +369,8 @@ def scan_block(
     return PartialResult(count, best, tuple(sorted(cands)))
 
 
-def _gershgorin_floor(n: int, idx: np.ndarray) -> np.ndarray:
+def _gershgorin_floor(z: np.ndarray) -> np.ndarray:
     """Entrywise lower bound min_i (2 Z_ii - sum_j Z_ij) on the least eigenvalue."""
-    m = tri(n)
-    y = np.zeros((idx.shape[0], n, n), dtype=np.float64)
-    if m:
-        bits = (idx[:, None] >> np.arange(m, dtype=np.int64)) & 1
-        rows, cols = _positions(n)
-        y[:, rows, cols] = bits
-    d = np.arange(n)
-    y[:, d, d] = 1.0
-    z = y @ y.transpose(0, 2, 1)
     diag = np.einsum("bii->bi", z)
     return (2.0 * diag - z.sum(axis=2)).min(axis=1)
 
@@ -484,9 +567,14 @@ def exhaustive_min(
                 for fut in as_completed(futs):
                     note_done(futs[fut], fut.result())
             except BaseException:
-                # an aborted run must not stall on queued blocks; the
-                # checkpoint already holds every block noted so far
-                pool.shutdown(wait=False, cancel_futures=True)
+                # an aborted run must not scan the queued blocks; the
+                # checkpoint already holds every block noted so far.  The
+                # futures themselves are cancelled, because the pool's
+                # shutdown(cancel_futures=True) flag is reset by the second
+                # shutdown() that leaving this block makes.  That exit then
+                # waits only for the blocks already handed to a worker.
+                for fut in futs:
+                    fut.cancel()
                 raise
 
     total = 1 << tri(n)

@@ -1,18 +1,27 @@
 """Exhaustive scan engine: partitioning, merging, checkpoints, determinism."""
 
 import json
+import multiprocessing
 import os
+import random
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gramfloor
+from gramfloor import search
 from gramfloor.charpoly import smallest_eigenvalue
 from gramfloor.core import from_index, gram, tri, y0
 from gramfloor.search import (
     DEFAULT_BLOCK_SIZE,
     EMPTY_PARTIAL,
+    SEARCH_N_MAX,
     TIE_EPS,
     Checkpoint,
     CheckpointError,
@@ -77,6 +86,52 @@ def test_scan_values_match_scalar_pipeline():
     result = scan_block(n, 0, 1 << tri(n))
     for bits, value in result.candidates:
         assert value == smallest_eigenvalue(gram(from_index(n, bits)))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_kernel_values_match_scalar_pipeline_bitwise(n):
+    # every pattern up to n = 5; beyond, a seeded sample plus Y0
+    total = 1 << tri(n)
+    if n <= 5:
+        indices = list(range(total))
+    else:
+        rng = random.Random(n)
+        indices = [rng.randrange(total) for _ in range(400)] + [y0_index(n)]
+    values = search._values_for(n, np.array(indices, dtype=np.int64), 1e-13)
+    for i, value in zip(indices, values.tolist()):
+        assert value == smallest_eigenvalue(gram(from_index(n, i))), i
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 12, 1 << 14])
+def test_scan_block_is_independent_of_chunk_size(monkeypatch, chunk):
+    reference = scan_block(6, 0, 1 << 15)
+    monkeypatch.setattr(search, "_CHUNK", chunk)
+    assert scan_block(6, 0, 1 << 15) == reference
+
+
+def test_scan_block_refuses_sizes_beyond_exactness_bound():
+    with pytest.raises(ValueError, match="exhaustive scan supports"):
+        scan_block(SEARCH_N_MAX + 1, 0, 16)
+
+
+def test_exactness_guard_survives_optimize():
+    # python -O strips asserts; the 2^53 guard must still refuse n = 10
+    code = (
+        "from gramfloor.search import scan_block\n"
+        "try:\n"
+        "    scan_block(10, 0, 16)\n"
+        "except ValueError:\n"
+        "    print('refused')\n"
+    )
+    tree = str(Path(gramfloor.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [tree, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "refused"
 
 
 def test_scan_block_is_chunk_independent():
@@ -241,6 +296,45 @@ def test_interrupted_pool_scan_resumes_identically(tmp_path):
 
     resumed = exhaustive_min(6, workers=2, block_size=4096, checkpoint_path=path)
     assert _without_timing(resumed) == baseline
+
+
+_real_scan_block = scan_block
+
+
+def _stamped_scan_block(n, start, stop, *args):
+    # runs in the pool's workers: leaves one file per block, named by its
+    # start index and holding the monotonic time the worker took it up
+    stamp = os.path.join(os.environ["GRAMFLOOR_TEST_STAMPS"], str(start))
+    with open(stamp, "w") as fh:
+        fh.write(repr(time.monotonic()))
+    return _real_scan_block(n, start, stop, *args)
+
+
+def test_interrupted_pool_scan_stops_its_workers(tmp_path, monkeypatch):
+    # an abort cancels the queued blocks: only those already handed to the
+    # pool's call queue (at most workers + 1) start after the stop, and the
+    # workers are gone by the time the exception reaches the caller
+    workers, block_size = 2, 1 << 13
+    stamps = tmp_path / "stamps"
+    stamps.mkdir()
+    monkeypatch.setenv("GRAMFLOOR_TEST_STAMPS", str(stamps))
+    monkeypatch.setattr(search, "scan_block", _stamped_scan_block)
+    stopped_at = []
+
+    class Interrupt(Exception):
+        pass
+
+    def stop_after(done, total):
+        if done == 3:
+            stopped_at.append(time.monotonic())
+            raise Interrupt()
+
+    with pytest.raises(Interrupt):
+        exhaustive_min(7, workers=workers, block_size=block_size, progress=stop_after)
+    assert multiprocessing.active_children() == []
+    started = [float(p.read_text()) for p in stamps.iterdir()]
+    late = [t for t in started if t > stopped_at[0]]
+    assert len(late) <= workers + 1, (len(late), len(started))
 
 
 def test_finished_checkpoint_rerun_is_stable(tmp_path):
