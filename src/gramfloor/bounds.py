@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .charpoly import jacobi_eigenvalues, smallest_eigenvalue
 from .core import IntegerMatrix, gram, mat_mul, mat_transpose, y0
-from .search import SEARCH_N_MAX, exhaustive_min
+from .search import exhaustive_min
 
 
 @dataclass(frozen=True)
@@ -311,17 +311,13 @@ def smith_determinant_check(s: Sequence[int]) -> SmithResult:
 # -- summary table -----------------------------------------------------------
 
 
-def bounds_table(n_max: int, exhaustive_to: int = 7) -> tuple[BoundsRow, ...]:
-    """Rows n = 2..n_max comparing the floor against both closed bounds."""
+def bounds_table(n_max: int) -> tuple[BoundsRow, ...]:
+    """Rows n = 2..n_max comparing c_n (``floor_value``) against both closed bounds."""
     if n_max < 2:
         raise ValueError(f"need n_max >= 2, got {n_max}")
-    cap = min(exhaustive_to, SEARCH_N_MAX)
     rows = []
     for n in range(2, n_max + 1):
-        if n <= cap:
-            c = exhaustive_min(n).c_n_estimate
-        else:
-            c = smallest_eigenvalue(gram(y0(n)))
+        c = floor_value(n)
         general, parity = mattila_bounds(n)
         rows.append(BoundsRow(n, c, general, parity, c >= general and c >= parity))
     return tuple(rows)

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import GramMatrix, IntegerMatrix
+from .core import GramMatrix, IntegerMatrix, mat_mul, mat_trace
 
 _EPS = sys.float_info.epsilon
 # |q(x)| at or below this multiple of the coefficient-magnitude Horner sum is
@@ -64,21 +64,6 @@ class CharPoly:
     e: tuple[int, ...]
 
 
-def _rows_of(m: IntegerMatrix | GramMatrix) -> tuple[tuple[int, ...], ...]:
-    return m.entries
-
-
-def _mul_rows(a, b, n):
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(arow, bcol)) for bcol in bt) for arow in a
-    )
-
-
-def _trace_rows(a, n):
-    return sum(a[i][i] for i in range(n))
-
-
 def power_sums(m: IntegerMatrix | GramMatrix) -> PowerSums:
     """Exact traces of the first n powers.
 
@@ -86,28 +71,28 @@ def power_sums(m: IntegerMatrix | GramMatrix) -> PowerSums:
     trace(M^k) is the entrywise product sum of M^a and M^b.
     """
     n = m.n
-    rows = _rows_of(m)
+    rows = m.entries
     symmetric = all(rows[i][j] == rows[j][i] for i in range(n) for j in range(i))
     p = [0] * (n + 1)
     if symmetric:
         half = (n + 1) // 2
-        pows = [None, rows]
+        pows = [None, m]
         for _ in range(2, half + 1):
-            pows.append(_mul_rows(pows[-1], rows, n))
+            pows.append(mat_mul(pows[-1], m))
         for k in range(1, n + 1):
             if k <= half:
-                p[k] = _trace_rows(pows[k], n)
+                p[k] = mat_trace(pows[k])
             else:
-                a, b = pows[half], pows[k - half]
+                a, b = pows[half].entries, pows[k - half].entries
                 p[k] = sum(
                     x * y for arow, brow in zip(a, b) for x, y in zip(arow, brow)
                 )
     else:
-        power = rows
-        p[1] = _trace_rows(power, n)
+        power = m
+        p[1] = mat_trace(power)
         for k in range(2, n + 1):
-            power = _mul_rows(power, rows, n)
-            p[k] = _trace_rows(power, n)
+            power = mat_mul(power, m)
+            p[k] = mat_trace(power)
     return PowerSums(n, tuple(p[1:]))
 
 
@@ -143,7 +128,6 @@ def faddeev_leverrier(m: IntegerMatrix | GramMatrix) -> CharPoly:
     then e_j = (-1)^j c_{n-j}.  Divisions are exact and checked.
     """
     n = m.n
-    rows = _rows_of(m)
     c = [0] * (n + 1)
     c[n] = 1
     t = None
@@ -155,11 +139,11 @@ def faddeev_leverrier(m: IntegerMatrix | GramMatrix) -> CharPoly:
         else:
             shift = c[n - k + 1]
             mk = tuple(
-                tuple(t[i][j] + (shift if i == j else 0) for j in range(n))
+                tuple(t.entries[i][j] + (shift if i == j else 0) for j in range(n))
                 for i in range(n)
             )
-        t = _mul_rows(rows, mk, n)
-        q, r = divmod(-_trace_rows(t, n), k)
+        t = mat_mul(m, IntegerMatrix(n, mk))
+        q, r = divmod(-mat_trace(t), k)
         if r:
             raise ArithmeticError(f"Faddeev-LeVerrier division not exact at k={k}")
         c[n - k] = q

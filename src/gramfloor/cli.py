@@ -115,7 +115,6 @@ def _run_scan(args: argparse.Namespace, require_unique: bool) -> int:
             workers=args.workers,
             block_size=args.block_size,
             checkpoint_path=args.checkpoint,
-            prune=args.prune,
             newton_tol=args.tol,
             progress=progress,
         )
@@ -293,9 +292,6 @@ def _add_scan_flags(sub: argparse.ArgumentParser) -> None:
                      help="indices per scheduling block (default 2^20)")
     sub.add_argument("--checkpoint", default=None, metavar="PATH",
                      help="checkpoint file to create or resume from")
-    sub.add_argument("--prune", action="store_true",
-                     help="skip indices whose diagonal-dominance floor exceeds "
-                          "the running minimum")
     _add_common(sub, ("json", "text"))
 
 

@@ -204,7 +204,7 @@ def mat_identity(n: int) -> IntegerMatrix:
     return IntegerMatrix(n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
 
-def mat_mul(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
+def mat_mul(a: IntegerMatrix | GramMatrix, b: IntegerMatrix | GramMatrix) -> IntegerMatrix:
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
     n = a.n
@@ -220,7 +220,7 @@ def mat_transpose(a: IntegerMatrix) -> IntegerMatrix:
     return IntegerMatrix(a.n, tuple(zip(*a.entries)))
 
 
-def mat_trace(a: IntegerMatrix) -> int:
+def mat_trace(a: IntegerMatrix | GramMatrix) -> int:
     return sum(a.entries[i][i] for i in range(a.n))
 
 

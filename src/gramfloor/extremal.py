@@ -27,34 +27,21 @@ from .core import (
 from .inverse import BoundWitness, gram_inverse
 
 
-class FibCache:
-    """Grow-on-demand table of Fibonacci numbers, 1-indexed."""
-
-    def __init__(self) -> None:
-        self._values = [1, 1]  # F_1, F_2
-
-    def upto(self, m: int) -> tuple[int, ...]:
-        while len(self._values) < m:
-            self._values.append(self._values[-1] + self._values[-2])
-        return tuple(self._values[:m])
-
-    def get(self, k: int) -> int:
-        if k < 1:
-            raise ValueError(f"Fibonacci index must be >= 1, got {k}")
-        return self.upto(k)[k - 1]
-
-
-_FIB = FibCache()
-
-
-def fibonacci(k: int) -> int:
-    """F_k with F_1 = F_2 = 1."""
-    return _FIB.get(k)
+_FIB = [1, 1]  # F_1, F_2, ...; fib_upto grows it on demand
 
 
 def fib_upto(m: int) -> tuple[int, ...]:
     """(F_1, ..., F_m); empty for m <= 0."""
-    return _FIB.upto(m) if m > 0 else ()
+    while len(_FIB) < m:
+        _FIB.append(_FIB[-1] + _FIB[-2])
+    return tuple(_FIB[: max(m, 0)])
+
+
+def fibonacci(k: int) -> int:
+    """F_k with F_1 = F_2 = 1."""
+    if k < 1:
+        raise ValueError(f"Fibonacci index must be >= 1, got {k}")
+    return fib_upto(k)[k - 1]
 
 
 def y0_inverse_closed(n: int) -> IntegerMatrix:

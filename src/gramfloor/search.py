@@ -134,7 +134,6 @@ class Checkpoint:
     n: int
     block_size: int
     completed_block_ids: set[int]
-    running_min: float
     running_argmin_indices: tuple[int, ...]
     created: str
     updated: str
@@ -333,19 +332,8 @@ def _newton_batch(coeffs: np.ndarray, tol: float) -> np.ndarray:
     raise ConvergenceError(f"no convergence within {_NEWTON_CAP} iterations")
 
 
-def scan_block(
-    n: int,
-    start: int,
-    stop: int,
-    newton_tol: float = 1e-13,
-    prune_threshold: float | None = None,
-) -> PartialResult:
-    """Scan one contiguous index range; returns its minimum and near-ties.
-
-    The optional prune drops indices whose Gershgorin lower bound already
-    exceeds the threshold; their eigenvalues cannot reach the running
-    minimum, so results are unchanged, only work is saved.
-    """
+def scan_block(n: int, start: int, stop: int, newton_tol: float = 1e-13) -> PartialResult:
+    """Scan one contiguous index range; returns its minimum and near-ties."""
     ws = _Workspace(n, min(_CHUNK, max(stop - start, 0)))
     best = float("inf")
     cands: list[tuple[int, float]] = []
@@ -354,11 +342,6 @@ def scan_block(
         hi = min(lo + _CHUNK, stop)
         idx = np.arange(lo, hi, dtype=np.int64)
         count += idx.size
-        if prune_threshold is not None:
-            keep = _gershgorin_floor(ws.gram(idx)) <= prune_threshold
-            idx = idx[keep]
-            if idx.size == 0:
-                continue
         vals = _values_for(n, idx, newton_tol, ws)
         vmin = float(vals.min())
         if vmin < best:
@@ -367,12 +350,6 @@ def scan_block(
         sel = np.flatnonzero(vals <= best + TIE_EPS)
         cands.extend((int(idx[i]), float(vals[i])) for i in sel)
     return PartialResult(count, best, tuple(sorted(cands)))
-
-
-def _gershgorin_floor(z: np.ndarray) -> np.ndarray:
-    """Entrywise lower bound min_i (2 Z_ii - sum_j Z_ij) on the least eigenvalue."""
-    diag = np.einsum("bii->bi", z)
-    return (2.0 * diag - z.sum(axis=2)).min(axis=1)
 
 
 def merge_partials(a: PartialResult, b: PartialResult) -> PartialResult:
@@ -394,7 +371,6 @@ def checkpoint_save(path: str, ck: Checkpoint) -> None:
         "n": ck.n,
         "block_size": ck.block_size,
         "completed_block_ids": sorted(ck.completed_block_ids),
-        "running_min": None if ck.running_min == float("inf") else ck.running_min,
         "running_argmin_indices": list(ck.running_argmin_indices),
         "created": ck.created,
         "updated": ck.updated,
@@ -423,7 +399,6 @@ def checkpoint_load(path: str) -> Checkpoint:
             n=d["n"],
             block_size=d["block_size"],
             completed_block_ids=set(d["completed_block_ids"]),
-            running_min=float("inf") if d["running_min"] is None else float(d["running_min"]),
             running_argmin_indices=tuple(d["running_argmin_indices"]),
             created=d["created"],
             updated=d["updated"],
@@ -482,7 +457,6 @@ def exhaustive_min(
     workers: int = 1,
     block_size: int = DEFAULT_BLOCK_SIZE,
     checkpoint_path: Optional[str] = None,
-    prune: bool = False,
     newton_tol: float = 1e-13,
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> SearchReport:
@@ -491,8 +465,7 @@ def exhaustive_min(
     The result is independent of ``workers`` and ``block_size``; both only
     shape the schedule.  With ``checkpoint_path`` the scan records finished
     blocks after each merge and resumes from the same file, producing the
-    identical report whether or not it was interrupted.  ``prune`` enables
-    the Gershgorin skip, off by default.
+    identical report whether or not it was interrupted.
     """
     if not 1 <= n <= SEARCH_N_MAX:
         raise ValueError(f"exhaustive scan supports 1 <= n <= {SEARCH_N_MAX}, got {n}")
@@ -526,7 +499,6 @@ def exhaustive_min(
                 n=n,
                 block_size=block_size,
                 completed_block_ids=set(),
-                running_min=float("inf"),
                 running_argmin_indices=(),
                 created=_now(),
                 updated=_now(),
@@ -542,25 +514,20 @@ def exhaustive_min(
         completed.add(block_id)
         if ck is not None:
             ck.completed_block_ids = completed
-            ck.running_min = state.best
             ck.running_argmin_indices = tuple(i for i, _ in state.candidates)
             ck.updated = _now()
             checkpoint_save(checkpoint_path, ck)
         if progress is not None:
             progress(len(completed), nblocks)
 
-    threshold = (state.best + TIE_EPS) if (prune and state.count) else None
     if workers == 1:
         for b in pending:
             start, stop = blocks[b]
-            thr = (state.best + TIE_EPS) if prune and state.count else None
-            note_done(b, scan_block(n, start, stop, newton_tol, thr))
+            note_done(b, scan_block(n, start, stop, newton_tol))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futs = {
-                pool.submit(
-                    scan_block, n, blocks[b][0], blocks[b][1], newton_tol, threshold
-                ): b
+                pool.submit(scan_block, n, blocks[b][0], blocks[b][1], newton_tol): b
                 for b in pending
             }
             try:
@@ -571,8 +538,13 @@ def exhaustive_min(
                 # checkpoint already holds every block noted so far.  The
                 # futures themselves are cancelled, because the pool's
                 # shutdown(cancel_futures=True) flag is reset by the second
-                # shutdown() that leaving this block makes.  That exit then
-                # waits only for the blocks already handed to a worker.
+                # shutdown() that leaving this block makes.  cancel() cannot
+                # stop the blocks already handed to a worker, nor the up to
+                # workers + 1 more that the executor's call queue holds:
+                # their futures are already running, so they still finish
+                # and are discarded while this exit waits.  The bounded
+                # submission window planned in ROADMAP.md (item 4) caps how
+                # many blocks can be in flight.
                 for fut in futs:
                     fut.cancel()
                 raise
@@ -597,13 +569,3 @@ def exhaustive_min(
         elapsed=time.perf_counter() - t0,
         blocks_completed=len(completed),
     )
-
-
-def verify_conjecture(n: int, workers: int = 1, **kwargs) -> SearchReport:
-    """Exhaustive check that the alternating pattern attains the minimum."""
-    return exhaustive_min(n, workers=workers, **kwargs)
-
-
-def verify_uniqueness(n: int, workers: int = 1, **kwargs) -> SearchReport:
-    """Exhaustive check that the alternating pattern is the only minimizer."""
-    return exhaustive_min(n, workers=workers, **kwargs)

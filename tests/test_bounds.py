@@ -20,6 +20,9 @@ from gramfloor.bounds import (
     power_gcd_matrix,
     smith_determinant_check,
 )
+from gramfloor.charpoly import smallest_eigenvalue
+from gramfloor.core import gram, y0
+from gramfloor.search import exhaustive_min
 
 
 def test_mattila_frozen_examples():
@@ -198,7 +201,7 @@ def test_smith_on_divisor_closures(seed_value):
 
 
 def test_bounds_table_rows():
-    rows = bounds_table(6, exhaustive_to=5)
+    rows = bounds_table(6)
     assert [r.n for r in rows] == [2, 3, 4, 5, 6]
     assert all(r.holds for r in rows)
     assert rows[0].c_n == 0.38196601125010515
@@ -207,7 +210,7 @@ def test_bounds_table_rows():
 
 
 def test_bounds_table_floor_is_consistent_past_exhaustive_cap():
-    scanned = bounds_table(5, exhaustive_to=5)
-    closed = bounds_table(5, exhaustive_to=2)
-    for a, b in zip(scanned, closed):
-        assert a.c_n == pytest.approx(b.c_n, abs=1e-12)
+    # floor_value switches from the scan to Y0's value past n = 6; the two
+    # agree bit for bit wherever both are computed
+    for n in range(2, 7):
+        assert exhaustive_min(n).c_n_estimate == smallest_eigenvalue(gram(y0(n)))

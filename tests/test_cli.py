@@ -56,6 +56,15 @@ def test_unknown_flags_exit_two():
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["no-such-command"])
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n", "3", "--prune"])
+    assert exc.value.code == 2
+
+
+def test_package_exports_resolve():
+    missing = [name for name in gramfloor.__all__ if not hasattr(gramfloor, name)]
+    assert missing == []
+    assert len(set(gramfloor.__all__)) == len(gramfloor.__all__)
 
 
 def test_uniqueness_exit_zero():
