@@ -27,10 +27,23 @@ Newton walk run on one row per coefficient, elementwise in the same order as
 the scalar pipeline, so every value is bit for bit the scalar one.
 
 The kernel works through a block in chunks of _CHUNK indices, small enough
-that a chunk's matrices stay in cache, and a scan_block call allocates its
-work buffers once and fills them again for every chunk.  Fresh arrays per
-chunk are each large enough to be mapped from the kernel and faulted in page
-by page, which cost more time than the arithmetic they hold.
+that a chunk's matrices stay in cache, and fills the same work buffers again
+for every chunk.  Fresh arrays are each large enough to be mapped from the
+kernel and faulted in page by page, which cost more time than the arithmetic
+they hold; so each thread keeps one workspace across scan_block calls and
+makes a new one only when n changes or a call needs larger buffers.  Nothing
+is carried from one call to the next but the buffers: every value is written
+before it is read.  exhaustive_min drops its thread's workspace when it
+returns, so a process holds no buffers after a scan; a pool worker keeps its
+own for every block it scans.
+
+A checkpoint holds the finished blocks as sorted [start, stop) runs of block
+ids.  Blocks finish close to the order they were handed out, so the runs
+stay few, and a save costs the same after the last block as after the
+first.  The driver saves at most once every _SAVE_EVERY seconds, and once
+more on every way out of the scan, so the file holds exactly the merged
+blocks whenever the scan stops; a hard kill loses at most the blocks merged
+since the last save, which a resume scans again.
 """
 
 from __future__ import annotations
@@ -39,9 +52,11 @@ import json
 import math
 import os
 import tempfile
+import threading
 import time
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -61,9 +76,11 @@ from .core import from_index, gram, tri, y0
 TIE_EPS = 1e-9
 DEFAULT_BLOCK_SIZE = 1 << 20
 SEARCH_N_MAX = 9
-CHECKPOINT_VERSION = "1"
+DEFAULT_NEWTON_TOL = 1e-13
+CHECKPOINT_VERSION = "2"
 _CHUNK = 1 << 12
 _NEWTON_CAP = 500
+_SAVE_EVERY = 1.0  # seconds between checkpoint saves while a scan runs
 
 
 class CheckpointError(RuntimeError):
@@ -128,15 +145,64 @@ class SearchReport:
 
 @dataclass
 class Checkpoint:
-    """Resumable scan state; persisted as a small versioned JSON document."""
+    """Resumable scan state; persisted as a small versioned JSON document.
 
-    version: str
+    ``completed_runs`` holds the finished block ids as sorted, disjoint,
+    non-touching [start, stop) runs.
+    """
+
     n: int
     block_size: int
-    completed_block_ids: set[int]
+    newton_tol: float
+    completed_runs: tuple[tuple[int, int], ...]
     running_argmin_indices: tuple[int, ...]
     created: str
     updated: str
+
+    @property
+    def completed_block_ids(self) -> set[int]:
+        return {b for start, stop in self.completed_runs for b in range(start, stop)}
+
+
+class _Runs:
+    """A set of block ids kept as sorted, disjoint, non-touching runs.
+
+    Adding an id bisects the run starts, then extends, joins or inserts one
+    run, so no step walks every id.
+    """
+
+    def __init__(self, runs: tuple[tuple[int, int], ...] = ()) -> None:
+        self.starts = [start for start, _ in runs]
+        self.stops = [stop for _, stop in runs]
+        self.count = sum(self.stops) - sum(self.starts)
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __contains__(self, b: int) -> bool:
+        i = bisect_right(self.starts, b)
+        return i > 0 and b < self.stops[i - 1]
+
+    def add(self, b: int) -> None:
+        i = bisect_right(self.starts, b)
+        if i > 0 and b < self.stops[i - 1]:
+            return
+        extends = i > 0 and self.stops[i - 1] == b
+        precedes = i < len(self.starts) and self.starts[i] == b + 1
+        if extends and precedes:
+            self.stops[i - 1] = self.stops.pop(i)
+            del self.starts[i]
+        elif extends:
+            self.stops[i - 1] = b + 1
+        elif precedes:
+            self.starts[i] = b
+        else:
+            self.starts.insert(i, b)
+            self.stops.insert(i, b + 1)
+        self.count += 1
+
+    def runs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.starts, self.stops))
 
 
 def y0_index(n: int) -> int:
@@ -166,8 +232,8 @@ def _part(buf: np.ndarray, *shape: int) -> np.ndarray:
 class _Workspace:
     """Work buffers of the kernel for batches of up to ``size`` indices.
 
-    One workspace serves every chunk of a scan_block call; the module notes
-    say why the buffers are reused.
+    One workspace serves every chunk of the scan_block calls of one thread;
+    the module notes say why the buffers are reused.
     """
 
     def __init__(self, n: int, size: int) -> None:
@@ -176,6 +242,7 @@ class _Workspace:
         if not 1 <= n <= SEARCH_N_MAX:
             raise ValueError(f"exhaustive scan supports 1 <= n <= {SEARCH_N_MAX}, got {n}")
         self.n = n
+        self.size = size
         rows = np.arange(n)
         # row i of a pattern sits in packed bits tri(i) .. tri(i) + i - 1
         self.shift = (rows * (rows - 1) // 2)[:, None]
@@ -332,9 +399,19 @@ def _newton_batch(coeffs: np.ndarray, tol: float) -> np.ndarray:
     raise ConvergenceError(f"no convergence within {_NEWTON_CAP} iterations")
 
 
-def scan_block(n: int, start: int, stop: int, newton_tol: float = 1e-13) -> PartialResult:
+# the workspace of each thread, kept between scan_block calls
+_per_thread = threading.local()
+
+
+def scan_block(
+    n: int, start: int, stop: int, newton_tol: float = DEFAULT_NEWTON_TOL
+) -> PartialResult:
     """Scan one contiguous index range; returns its minimum and near-ties."""
-    ws = _Workspace(n, min(_CHUNK, max(stop - start, 0)))
+    size = min(_CHUNK, max(stop - start, 0))
+    ws = getattr(_per_thread, "workspace", None)
+    if ws is None or ws.n != n or ws.size < size:
+        _per_thread.workspace = ws = None  # free the old buffers before allocating
+        _per_thread.workspace = ws = _Workspace(n, size)
     best = float("inf")
     cands: list[tuple[int, float]] = []
     count = 0
@@ -367,19 +444,21 @@ def merge_partials(a: PartialResult, b: PartialResult) -> PartialResult:
 def checkpoint_save(path: str, ck: Checkpoint) -> None:
     """Atomic write: temp file in the target directory, then rename."""
     payload = {
-        "version": ck.version,
+        "version": CHECKPOINT_VERSION,
         "n": ck.n,
         "block_size": ck.block_size,
-        "completed_block_ids": sorted(ck.completed_block_ids),
-        "running_argmin_indices": list(ck.running_argmin_indices),
+        "newton_tol": ck.newton_tol,
+        "completed_runs": ck.completed_runs,
+        "running_argmin_indices": ck.running_argmin_indices,
         "created": ck.created,
         "updated": ck.updated,
     }
+    text = json.dumps(payload)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh)
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -388,40 +467,65 @@ def checkpoint_save(path: str, ck: Checkpoint) -> None:
 
 
 def checkpoint_load(path: str) -> Checkpoint:
+    """Read a checkpoint; a version "1" file, a list of block ids written
+    before runs and the tolerance were recorded, loads as at the default
+    tolerance and is written back as the current version."""
     try:
         with open(path) as fh:
             d = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
+    version = d.get("version") if isinstance(d, dict) else None
+    if version not in ("1", CHECKPOINT_VERSION):
+        raise CheckpointError(
+            f"checkpoint version {version!r} does not match {CHECKPOINT_VERSION!r}"
+        )
     try:
-        ck = Checkpoint(
-            version=d["version"],
+        if version == "1":
+            ids = _Runs()
+            for b in sorted(set(d["completed_block_ids"])):
+                ids.add(b)
+            runs, tol = ids.runs(), DEFAULT_NEWTON_TOL
+        else:
+            runs = tuple((start, stop) for start, stop in d["completed_runs"])
+            tol = d["newton_tol"]
+        return Checkpoint(
             n=d["n"],
             block_size=d["block_size"],
-            completed_block_ids=set(d["completed_block_ids"]),
+            newton_tol=tol,
+            completed_runs=runs,
             running_argmin_indices=tuple(d["running_argmin_indices"]),
             created=d["created"],
             updated=d["updated"],
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc
-    if ck.version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"checkpoint version {ck.version!r} does not match {CHECKPOINT_VERSION!r}"
-        )
-    return ck
 
 
-def _validate_checkpoint(ck: Checkpoint, n: int, block_size: int, nblocks: int) -> None:
+def _validate_checkpoint(
+    ck: Checkpoint, n: int, block_size: int, newton_tol: float, nblocks: int
+) -> None:
     if ck.n != n:
         raise CheckpointError(f"checkpoint is for n={ck.n}, run wants n={n}")
     if ck.block_size != block_size:
         raise CheckpointError(
             f"checkpoint block size {ck.block_size} does not match {block_size}"
         )
-    bad = [b for b in ck.completed_block_ids if not 0 <= b < nblocks]
-    if bad:
-        raise CheckpointError(f"checkpoint contains out-of-range block ids {bad[:5]}")
+    if ck.newton_tol != newton_tol:
+        raise CheckpointError(
+            f"checkpoint Newton tolerance {ck.newton_tol!r} does not match {newton_tol!r}"
+        )
+    # runs in canonical form read a0 < b0 < a1 < b1 < ... within [0, nblocks]
+    edges = [v for run in ck.completed_runs for v in run]
+    if (
+        any(type(v) is not int for v in edges)
+        or any(a >= b for a, b in zip(edges, edges[1:]))
+        or (edges and not (0 <= edges[0] and edges[-1] <= nblocks))
+    ):
+        raise CheckpointError(
+            f"checkpoint block runs are not sorted, disjoint runs of ids in "
+            f"0..{nblocks - 1}: {list(ck.completed_runs[:5])}"
+        )
     total = 1 << tri(n)
     bad_idx = [i for i in ck.running_argmin_indices if not 0 <= i < total]
     if bad_idx:
@@ -457,15 +561,16 @@ def exhaustive_min(
     workers: int = 1,
     block_size: int = DEFAULT_BLOCK_SIZE,
     checkpoint_path: Optional[str] = None,
-    newton_tol: float = 1e-13,
+    newton_tol: float = DEFAULT_NEWTON_TOL,
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> SearchReport:
     """Scan every size-n pattern and report the least Gram eigenvalue.
 
     The result is independent of ``workers`` and ``block_size``; both only
     shape the schedule.  With ``checkpoint_path`` the scan records finished
-    blocks after each merge and resumes from the same file, producing the
-    identical report whether or not it was interrupted.
+    blocks at most every _SAVE_EVERY seconds and once more when it stops,
+    and resumes from the same file, producing the identical report whether
+    or not it was interrupted.
     """
     if not 1 <= n <= SEARCH_N_MAX:
         raise ValueError(f"exhaustive scan supports 1 <= n <= {SEARCH_N_MAX}, got {n}")
@@ -479,75 +584,95 @@ def exhaustive_min(
     nblocks = len(blocks)
 
     ck: Checkpoint | None = None
-    state = EMPTY_PARTIAL
     if checkpoint_path is not None:
         if os.path.exists(checkpoint_path):
             ck = checkpoint_load(checkpoint_path)
-            _validate_checkpoint(ck, n, block_size, nblocks)
-            restored = EMPTY_PARTIAL
-            for idx in ck.running_argmin_indices:
-                restored = merge_partials(
-                    restored, scan_block(n, idx, idx + 1, newton_tol)
-                )
-            done_count = sum(
-                blocks[b][1] - blocks[b][0] for b in ck.completed_block_ids
-            )
-            state = PartialResult(done_count, restored.best, restored.candidates)
+            _validate_checkpoint(ck, n, block_size, newton_tol, nblocks)
         else:
             ck = Checkpoint(
-                version=CHECKPOINT_VERSION,
                 n=n,
                 block_size=block_size,
-                completed_block_ids=set(),
+                newton_tol=newton_tol,
+                completed_runs=(),
                 running_argmin_indices=(),
                 created=_now(),
                 updated=_now(),
             )
             checkpoint_save(checkpoint_path, ck)
 
-    completed: set[int] = set(ck.completed_block_ids) if ck else set()
-    pending = [b for b in range(nblocks) if b not in completed]
+    done = _Runs(ck.completed_runs if ck else ())
+    pending = [b for b in range(nblocks) if b not in done]
+    state = EMPTY_PARTIAL
+    # the finished runs and the merged state, set together in one
+    # assignment after both are updated: an interrupt between the two
+    # updates must not reach the file as a block without its near-ties
+    committed = saved = None
+    saved_at = time.monotonic()
+
+    def save() -> None:
+        nonlocal saved, saved_at
+        snapshot = committed
+        ck.completed_runs, merged = snapshot
+        ck.running_argmin_indices = tuple(i for i, _ in merged.candidates)
+        ck.updated = _now()
+        checkpoint_save(checkpoint_path, ck)
+        saved, saved_at = snapshot, time.monotonic()
 
     def note_done(block_id: int, result: PartialResult) -> None:
-        nonlocal state
+        nonlocal state, committed
         state = merge_partials(state, result)
-        completed.add(block_id)
+        done.add(block_id)
         if ck is not None:
-            ck.completed_block_ids = completed
-            ck.running_argmin_indices = tuple(i for i, _ in state.candidates)
-            ck.updated = _now()
-            checkpoint_save(checkpoint_path, ck)
+            committed = (done.runs(), state)
+            if time.monotonic() - saved_at >= _SAVE_EVERY:
+                save()
         if progress is not None:
-            progress(len(completed), nblocks)
+            progress(len(done), nblocks)
 
-    if workers == 1:
-        for b in pending:
-            start, stop = blocks[b]
-            note_done(b, scan_block(n, start, stop, newton_tol))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = {
-                pool.submit(scan_block, n, blocks[b][0], blocks[b][1], newton_tol): b
-                for b in pending
-            }
-            try:
-                for fut in as_completed(futs):
-                    note_done(futs[fut], fut.result())
-            except BaseException:
-                # an aborted run must not scan the queued blocks; the
-                # checkpoint already holds every block noted so far.  The
-                # futures themselves are cancelled, because the pool's
-                # shutdown(cancel_futures=True) flag is reset by the second
-                # shutdown() that leaving this block makes.  cancel() cannot
-                # stop the blocks already handed to a worker, nor the up to
-                # workers + 1 more that the executor's call queue holds:
-                # their futures are already running, so they still finish
-                # and are discarded while this exit waits.  The bounded
-                # submission window planned in ROADMAP.md (item 4) caps how
-                # many blocks can be in flight.
-                for fut in futs:
-                    fut.cancel()
-                raise
+    try:
+        if ck is not None:
+            # the merged state of the finished blocks: their near-ties
+            # scanned again, and the patterns the runs cover
+            for idx in ck.running_argmin_indices:
+                state = merge_partials(state, scan_block(n, idx, idx + 1, newton_tol))
+            done_count = sum(
+                blocks[stop - 1][1] - blocks[start][0] for start, stop in done.runs()
+            )
+            state = PartialResult(done_count, state.best, state.candidates)
+        if workers == 1:
+            for b in pending:
+                start, stop = blocks[b]
+                note_done(b, scan_block(n, start, stop, newton_tol))
+        else:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                futs = {
+                    pool.submit(scan_block, n, blocks[b][0], blocks[b][1], newton_tol): b
+                    for b in pending
+                }
+                try:
+                    for fut in as_completed(futs):
+                        note_done(futs[fut], fut.result())
+                except BaseException:
+                    # an aborted run must not scan the queued blocks.  The
+                    # futures themselves are cancelled, because the pool's
+                    # shutdown(cancel_futures=True) flag is reset by the
+                    # second shutdown() that leaving this block makes.
+                    # cancel() cannot stop the blocks already handed to a
+                    # worker, nor the up to workers + 1 more that the
+                    # executor's call queue holds: their futures are
+                    # already running, so they still finish and are
+                    # discarded while this exit waits.  The bounded
+                    # submission window planned in ROADMAP.md (item 4) caps
+                    # how many blocks can be in flight.
+                    for fut in futs:
+                        fut.cancel()
+                    raise
+    finally:
+        # every way out leaves the file holding exactly the merged blocks,
+        # and this process holding no kernel buffers
+        _per_thread.workspace = None
+        if saved is not committed:
+            save()
 
     total = 1 << tri(n)
     if state.count != total:
@@ -567,5 +692,5 @@ def exhaustive_min(
         conjecture_holds=holds,
         unique_argmin=argmin == (y0i,),
         elapsed=time.perf_counter() - t0,
-        blocks_completed=len(completed),
+        blocks_completed=len(done),
     )

@@ -161,6 +161,8 @@ def test_checkpoint_rejection_exits_three(tmp_path):
                  "--checkpoint", path]) == 0
     assert main(["verify", "--n", "5", "--workers", "1", "--block-size", "64",
                  "--checkpoint", path]) == 3
+    assert main(["verify", "--n", "5", "--workers", "1", "--block-size", "128",
+                 "--tol", "1e-12", "--checkpoint", path]) == 3
 
 
 def test_default_workers_env(monkeypatch):

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -201,10 +202,10 @@ def test_candidates_within_tie_eps():
 def test_checkpoint_round_trip(tmp_path):
     path = str(tmp_path / "ck.json")
     ck = Checkpoint(
-        version="1",
         n=5,
         block_size=128,
-        completed_block_ids={0, 3},
+        newton_tol=1e-13,
+        completed_runs=((0, 1), (3, 4)),
         running_argmin_indices=(17,),
         created="2024-01-01T00:00:00",
         updated="2024-01-01T00:05:00",
@@ -212,6 +213,36 @@ def test_checkpoint_round_trip(tmp_path):
     checkpoint_save(path, ck)
     loaded = checkpoint_load(path)
     assert loaded == ck
+    assert loaded.completed_block_ids == {0, 3}
+    assert json.loads(Path(path).read_text())["version"] == "2"
+
+
+def test_n9_checkpoint_in_one_run_is_small(tmp_path):
+    # every block of n = 9 at the default block size, held as one run
+    path = tmp_path / "ck.json"
+    nblocks = len(partition(9, DEFAULT_BLOCK_SIZE))
+    assert nblocks == 65536
+    ck = Checkpoint(
+        n=9,
+        block_size=DEFAULT_BLOCK_SIZE,
+        newton_tol=1e-13,
+        completed_runs=((0, nblocks),),
+        running_argmin_indices=(y0_index(9),),
+        created="2024-01-01T00:00:00",
+        updated="2024-01-01T00:05:00",
+    )
+    checkpoint_save(str(path), ck)
+    assert path.stat().st_size < 1024
+    assert checkpoint_load(str(path)) == ck
+    assert len(checkpoint_load(str(path)).completed_block_ids) == nblocks
+
+    # resuming the finished scan scans nothing more and rewrites nothing
+    report = exhaustive_min(9, checkpoint_path=str(path))
+    assert report.total_scanned == 1 << 36
+    assert report.blocks_completed == nblocks
+    assert report.argmin_indices == (y0_index(9),)
+    assert report.c_n_estimate == report.z0_value
+    assert checkpoint_load(str(path)) == ck
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
@@ -231,6 +262,8 @@ def test_checkpoint_rejects_parameter_mismatch(tmp_path):
         exhaustive_min(5, block_size=64, checkpoint_path=path)
     with pytest.raises(CheckpointError):
         exhaustive_min(4, block_size=128, checkpoint_path=path)
+    with pytest.raises(CheckpointError, match="tolerance"):
+        exhaustive_min(5, block_size=128, checkpoint_path=path, newton_tol=1e-12)
 
 
 def test_interrupted_scan_resumes_identically(tmp_path):
@@ -280,6 +313,75 @@ def test_checkpoint_with_running_min_key_resumes_identically(tmp_path):
     assert _without_timing(resumed) == baseline
     assert resumed.blocks_completed == len(blocks)
     assert "running_min" not in json.loads(path.read_text())
+
+
+def test_version_one_checkpoint_resumes_at_default_tolerance(tmp_path):
+    # a version "1" file lists block ids and predates the tolerance field:
+    # it resumes at the default tolerance only, and is rewritten as runs
+    path = tmp_path / "ck.json"
+    baseline = _without_timing(exhaustive_min(5, block_size=64))
+    blocks = partition(5, 64)
+    done = [3, 0, 1, 10, 7]
+    state = EMPTY_PARTIAL
+    for b in done:
+        state = merge_partials(state, scan_block(5, *blocks[b]))
+    path.write_text(json.dumps({
+        "version": "1",
+        "n": 5,
+        "block_size": 64,
+        "completed_block_ids": done,
+        "running_argmin_indices": [i for i, _ in state.candidates],
+        "created": "2024-01-01T00:00:00",
+        "updated": "2024-01-01T00:05:00",
+    }))
+    loaded = checkpoint_load(str(path))
+    assert loaded.completed_runs == ((0, 2), (3, 4), (7, 8), (10, 11))
+    assert loaded.newton_tol == 1e-13
+    with pytest.raises(CheckpointError, match="tolerance"):
+        exhaustive_min(5, block_size=64, checkpoint_path=str(path), newton_tol=1e-12)
+
+    resumed = exhaustive_min(5, block_size=64, checkpoint_path=str(path))
+    assert _without_timing(resumed) == baseline
+    saved = json.loads(path.read_text())
+    assert saved["version"] == "2"
+    assert saved["completed_runs"] == [[0, len(blocks)]]
+    assert saved["newton_tol"] == 1e-13
+    assert "completed_block_ids" not in saved
+
+
+@pytest.mark.parametrize("runs", [
+    [[0, 2], [1, 3]],  # overlapping
+    [[0, 2], [2, 3]],  # touching, so not in canonical form
+    [[3, 4], [0, 1]],  # unsorted
+    [[2, 2]],  # empty
+    [[0, 17]],  # past the last block
+    [[-1, 2]],
+    [[0, 1.5]],
+])
+def test_checkpoint_rejects_malformed_runs(tmp_path, runs):
+    path = tmp_path / "ck.json"
+    exhaustive_min(5, block_size=64, checkpoint_path=str(path))
+    doc = json.loads(path.read_text())
+    doc["completed_runs"] = runs
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match="runs"):
+        exhaustive_min(5, block_size=64, checkpoint_path=str(path))
+
+
+def test_checkpoint_saves_at_most_once_a_second(tmp_path, monkeypatch):
+    # one save when the file is created, one when the scan ends, and in
+    # between at most one per _SAVE_EVERY seconds, not one per block
+    saves = []
+    real_save = search.checkpoint_save
+
+    def counting_save(path, ck):
+        saves.append(path)
+        real_save(path, ck)
+
+    monkeypatch.setattr(search, "checkpoint_save", counting_save)
+    report = exhaustive_min(6, block_size=1 << 9, checkpoint_path=str(tmp_path / "ck.json"))
+    assert report.blocks_completed == 64
+    assert 2 <= len(saves) <= 2 + report.elapsed / search._SAVE_EVERY
 
 
 def test_interrupted_pool_scan_resumes_identically(tmp_path):
@@ -342,6 +444,144 @@ def test_interrupted_pool_scan_stops_its_workers(tmp_path, monkeypatch):
     started = [float(p.read_text()) for p in stamps.iterdir()]
     late = [t for t in started if t > stopped_at[0]]
     assert len(late) <= workers + 1, (len(late), len(started))
+
+
+class _Stop(Exception):
+    """Raised to stop a scan; defined here so a pool worker can send it back."""
+
+
+def _failing_scan_block(n, start, stop, *args):
+    # runs in the pool's workers too: fails on the block that starts at the
+    # index held in the environment
+    if start == int(os.environ["GRAMFLOOR_TEST_FAIL_AT"]):
+        raise _Stop(start)
+    return _real_scan_block(n, start, stop, *args)
+
+
+@pytest.mark.parametrize("save_every", [0.0, search._SAVE_EVERY])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_killed_scan_leaves_its_merged_blocks_and_resumes(
+    tmp_path, monkeypatch, workers, save_every
+):
+    # stopped by its progress callback, by an interrupt, by a failing
+    # block or by an interrupt between merging a block and noting it, a
+    # scan leaves exactly the blocks it noted in the checkpoint, whether it
+    # saved after every block or not since it started, and the resume
+    # reports what an uninterrupted scan does
+    n, block_size = 6, 1 << 9
+    blocks = partition(n, block_size)
+    y0_block = y0_index(n) // block_size
+    baseline = _without_timing(exhaustive_min(n, block_size=block_size))
+    path = tmp_path / "ck.json"
+    noted = []
+    torn_at = [-1]
+    real_add = search._Runs.add
+
+    def noting_add(runs, b):
+        if b == torn_at[0]:
+            raise KeyboardInterrupt
+        real_add(runs, b)
+        noted.append(b)
+
+    monkeypatch.setattr(search._Runs, "add", noting_add)
+    monkeypatch.setattr(search, "_SAVE_EVERY", save_every)
+    monkeypatch.setattr(search, "scan_block", _failing_scan_block)
+    rng = random.Random(101 + workers)
+    stops = [(k, _Stop) for k in rng.sample(range(1, len(blocks)), 3)]
+    stops.append((rng.randrange(1, len(blocks)), KeyboardInterrupt))
+    stops.append((rng.randrange(1, len(blocks)), "failing block"))
+    # Y0's block carries the near-ties that a torn note must not save
+    stops.append((y0_block, "torn note"))
+    for k, how in stops:
+        fail_at = blocks[k][0] if how == "failing block" else -1
+        monkeypatch.setenv("GRAMFLOOR_TEST_FAIL_AT", str(fail_at))
+        torn_at[0] = k if how == "torn note" else -1
+
+        def stop_at(done, total):
+            if done == k and how in (_Stop, KeyboardInterrupt):
+                raise how()
+
+        if path.exists():
+            path.unlink()
+        noted.clear()
+        with pytest.raises((_Stop, KeyboardInterrupt)):
+            exhaustive_min(n, workers=workers, block_size=block_size,
+                           checkpoint_path=str(path), progress=stop_at)
+        assert getattr(search._per_thread, "workspace", None) is None
+        assert checkpoint_load(str(path)).completed_block_ids == set(noted), (k, how)
+        if how in (_Stop, KeyboardInterrupt):
+            assert len(noted) == k
+        else:
+            assert k not in noted
+        first = len(noted) + 1
+
+        monkeypatch.setenv("GRAMFLOOR_TEST_FAIL_AT", "-1")
+        torn_at[0] = -1
+        seen = []
+        resumed = exhaustive_min(n, workers=workers, block_size=block_size,
+                                 checkpoint_path=str(path),
+                                 progress=lambda done, total: seen.append(done))
+        assert seen[0] == first, (k, how)
+        assert _without_timing(resumed) == baseline, (k, how)
+
+
+def _fresh_scan(n, start, stop):
+    """scan_block with a workspace made for this call alone."""
+    search._per_thread.workspace = None
+    return scan_block(n, start, stop)
+
+
+def _interleaved_calls(seed):
+    # n = 6, then 5, then 6 again, over ever longer ranges: one index,
+    # part of a chunk, more than a chunk and several chunks
+    rng = random.Random(seed)
+    calls = []
+    for length in (1, 100, 3000, 5000, 9000):
+        for n in (6, 5, 6):
+            length_n = min(length, 1 << tri(n))
+            start = rng.randrange((1 << tri(n)) - length_n + 1)
+            calls.append((n, start, start + length_n))
+    return calls
+
+
+def test_reused_workspace_never_leaks_between_calls():
+    calls = _interleaved_calls(7)
+    expected = [_fresh_scan(*call) for call in calls]
+    search._per_thread.workspace = None
+    assert [scan_block(*call) for call in calls] == expected
+    # shorter calls after longer ones keep the larger buffers
+    assert [scan_block(*call) for call in reversed(calls)] == expected[::-1]
+
+
+def test_reused_workspace_is_per_thread():
+    # more threads than cores, switching often: each must see the results
+    # of fresh workspaces, whatever the others scan meanwhile
+    calls = [_interleaved_calls(seed) for seed in range(4)]
+    expected = [[_fresh_scan(*call) for call in mine] for mine in calls]
+    got = [None] * len(calls)
+
+    def run(k):
+        got[k] = [scan_block(*call) for call in calls[k]]
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(calls))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == expected
+
+
+def test_exhaustive_min_holds_no_workspace_after_it_returns():
+    scan_block(6, 0, 100)
+    assert search._per_thread.workspace is not None
+    exhaustive_min(5, block_size=64)
+    assert search._per_thread.workspace is None
 
 
 def test_finished_checkpoint_rerun_is_stable(tmp_path):
