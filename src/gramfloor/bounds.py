@@ -11,6 +11,7 @@ in exact integer arithmetic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +19,6 @@ from typing import Optional, Sequence
 
 from .charpoly import jacobi_eigenvalues, smallest_eigenvalue
 from .core import IntegerMatrix, gram, mat_mul, mat_transpose, y0
-from .search import exhaustive_min
 
 
 @dataclass(frozen=True)
@@ -216,22 +216,14 @@ def power_gcd_matrix(s: Sequence[int], eps: float) -> GcdMatrixSpec:
     return GcdMatrixSpec(xs, eps, entries)
 
 
-_EXHAUSTIVE_FLOOR_CAP = 6
-_floor_cache: dict[int, float] = {}
-
-
+@functools.cache
 def floor_value(n: int) -> float:
-    """c_n: exhaustive when cheap, alternating-pattern value otherwise.
+    """c_n as the least Gram eigenvalue of the alternating pattern Y0.
 
-    Beyond the exhaustive range the two agree, so this is c_n either way;
-    the crossover only trades scan time for a closed computation.
+    Y0 attains the floor, so this equals the exhaustive scan's c_n bit for
+    bit wherever a scan computes both, without the scan's cost.
     """
-    if n not in _floor_cache:
-        if n <= _EXHAUSTIVE_FLOOR_CAP:
-            _floor_cache[n] = exhaustive_min(n).c_n_estimate
-        else:
-            _floor_cache[n] = smallest_eigenvalue(gram(y0(n)))
-    return _floor_cache[n]
+    return smallest_eigenvalue(gram(y0(n)))
 
 
 _SLACK = 1e-9

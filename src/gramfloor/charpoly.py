@@ -9,10 +9,15 @@ polynomial
 
 started at 0.  For a polynomial with all roots real and positive the iterates
 increase monotonically to the least root, so the first fixed point is the
-right one.  Two independent cross-checks live here as well: the
-Faddeev-LeVerrier recursion for the same coefficients, and a dependency-free
-cyclic Jacobi eigensolver plus a power-iteration spectral radius for float
-comparison.
+right one.  The stopping rule is fixed, so c_n has one value: the walk stops
+once a step is at most NEWTON_TOL relative to the iterate, or once the
+residual sinks under the float64 noise floor, and gives up after NEWTON_CAP
+steps.  The batched walk in search follows the same rule, so a value has
+the same bits whichever walk computes it.
+
+Two independent cross-checks live here as well: the Faddeev-LeVerrier
+recursion for the same coefficients, and a dependency-free cyclic Jacobi
+eigensolver plus a power-iteration spectral radius for float comparison.
 
 Near-ties between candidate minima are settled exactly: integer
 characteristic polynomials are compared through Sturm-chain root counting
@@ -38,6 +43,9 @@ NOISE_FLOOR = 4.0 * _EPS
 # steps more negative than -sqrt(eps) * scale signal a genuine precondition
 # violation rather than rounding jitter near a multiple root
 _BACKSTEP = math.sqrt(_EPS)
+# the stopping rule of every Newton walk: relative step size, step budget
+NEWTON_TOL = 1e-13
+NEWTON_CAP = 500
 
 
 class ConvergenceError(RuntimeError):
@@ -173,19 +181,17 @@ def _horner3(coeffs: Sequence[float], x: float) -> tuple[float, float, float]:
     return q, dq, s
 
 
-def _newton_iterates(
-    coeffs: Sequence[float], tol: float, max_iter: int
-) -> tuple[float, list[float]]:
+def _newton_iterates(coeffs: Sequence[float]) -> tuple[float, list[float]]:
     """Newton from 0 toward the least root; returns (root, iterate list).
 
-    Stops when the step falls below tol relative to the iterate, or when the
-    residual sinks under the float64 noise floor of the evaluation (which is
-    where multiple roots land: a root of multiplicity m cannot be resolved
-    past about eps^(1/m) in double precision).
+    Stops when the step falls below NEWTON_TOL relative to the iterate, or
+    when the residual sinks under the float64 noise floor of the evaluation
+    (which is where multiple roots land: a root of multiplicity m cannot be
+    resolved past about eps^(1/m) in double precision).
     """
     x = 0.0
     iterates = [0.0]
-    for _ in range(max_iter):
+    for _ in range(NEWTON_CAP):
         q, dq, s = _horner3(coeffs, x)
         if abs(q) <= NOISE_FLOOR * s:
             return x, iterates
@@ -200,27 +206,27 @@ def _newton_iterates(
                 f"iterates left the monotone regime at x={x!r} (step {step!r})"
             )
         iterates.append(xn)
-        if step <= tol * xn:
+        if step <= NEWTON_TOL * xn:
             return xn, iterates
         x = xn
-    raise ConvergenceError(f"no convergence within {max_iter} iterations")
+    raise ConvergenceError(f"no convergence within {NEWTON_CAP} iterations")
 
 
-def smallest_root_newton(cp: CharPoly, tol: float = 1e-13, max_iter: int = 500) -> float:
+def smallest_root_newton(cp: CharPoly) -> float:
     """Least root of the characteristic polynomial, all roots real positive.
 
     Monotone Newton from 0: below the least root of such a polynomial the
     Newton step is always positive, so the iteration cannot jump past it.
-    Relative accuracy tol for simple roots; multiple roots are returned at
-    the float64 resolution limit instead of looping forever.
+    Relative accuracy NEWTON_TOL for simple roots; multiple roots are
+    returned at the float64 resolution limit instead of looping forever.
     """
-    value, _ = _newton_iterates(_float_coeffs(cp), tol, max_iter)
+    value, _ = _newton_iterates(_float_coeffs(cp))
     return value
 
 
-def smallest_eigenvalue(z: GramMatrix | IntegerMatrix, tol: float = 1e-13) -> float:
+def smallest_eigenvalue(z: GramMatrix | IntegerMatrix) -> float:
     """Least eigenvalue via exact power sums, Newton identities, Newton root."""
-    return smallest_root_newton(newton_identities(power_sums(z)), tol)
+    return smallest_root_newton(newton_identities(power_sums(z)))
 
 
 # -- float cross-checks ----------------------------------------------------

@@ -62,19 +62,6 @@ def _int_set(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _default_workers() -> int:
-    env = os.environ.get("IHM_WORKERS")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            value = 0
-        if value >= 1:
-            return value
-        print(f"ignoring invalid IHM_WORKERS={env!r}", file=sys.stderr)
-    return os.cpu_count() or 1
-
-
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         print(text)
@@ -115,7 +102,6 @@ def _run_scan(args: argparse.Namespace, require_unique: bool) -> int:
             workers=args.workers,
             block_size=args.block_size,
             checkpoint_path=args.checkpoint,
-            newton_tol=args.tol,
             progress=progress,
         )
     except CheckpointError as exc:
@@ -156,7 +142,7 @@ def cmd_extremal(args: argparse.Namespace) -> int:
     z = gram(y)
     y_inv = y0_inverse_closed(n)
     z_inv = z0_inverse_closed(n)
-    lam = smallest_eigenvalue(z, args.tol)
+    lam = smallest_eigenvalue(z)
     sign_ok = bool(sign_pattern_check(gram_inverse(y)))
     trace_ok = bool(trace_equality_check(n))
     if args.format == "text":
@@ -279,15 +265,13 @@ def _add_common(sub: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
                      help="report format (default json)")
     sub.add_argument("--out", default=None, metavar="PATH",
                      help="write the report to a file instead of stdout")
-    sub.add_argument("--tol", type=_positive_float, default=1e-13,
-                     help="Newton step tolerance (default 1e-13)")
 
 
 def _add_scan_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--n", type=_positive_int, required=True,
                      help=f"matrix size, 1..{SEARCH_N_MAX}")
-    sub.add_argument("--workers", type=_positive_int, default=_default_workers(),
-                     help="worker processes (default: IHM_WORKERS or CPU count)")
+    sub.add_argument("--workers", type=_positive_int, default=os.cpu_count() or 1,
+                     help="worker processes (default: CPU count)")
     sub.add_argument("--block-size", type=_positive_int, default=DEFAULT_BLOCK_SIZE,
                      help="indices per scheduling block (default 2^20)")
     sub.add_argument("--checkpoint", default=None, metavar="PATH",

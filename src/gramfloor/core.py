@@ -195,11 +195,6 @@ def gram_factor(z: GramMatrix) -> LowerUnitMatrix:
     return encode(rows)
 
 
-def mat_from_rows(rows: Sequence[Sequence[int]]) -> IntegerMatrix:
-    """Build an exact matrix from nested sequences of ints."""
-    return IntegerMatrix(len(rows), tuple(tuple(int(v) for v in row) for row in rows))
-
-
 def mat_identity(n: int) -> IntegerMatrix:
     return IntegerMatrix(n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 

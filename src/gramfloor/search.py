@@ -43,7 +43,9 @@ stay few, and a save costs the same after the last block as after the
 first.  The driver saves at most once every _SAVE_EVERY seconds, and once
 more on every way out of the scan, so the file holds exactly the merged
 blocks whenever the scan stops; a hard kill loses at most the blocks merged
-since the last save, which a resume scans again.
+since the last save, which a resume scans again.  The file records the
+Newton tolerance, always charpoly.NEWTON_TOL, and a file that records
+another one, from a build whose tolerance could be set, is refused.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import signal
 import tempfile
 import threading
 import time
@@ -62,6 +65,8 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .charpoly import (
+    NEWTON_CAP,
+    NEWTON_TOL,
     NOISE_FLOOR,
     _BACKSTEP,
     CharPoly,
@@ -76,10 +81,8 @@ from .core import from_index, gram, tri, y0
 TIE_EPS = 1e-9
 DEFAULT_BLOCK_SIZE = 1 << 20
 SEARCH_N_MAX = 9
-DEFAULT_NEWTON_TOL = 1e-13
 CHECKPOINT_VERSION = "2"
 _CHUNK = 1 << 12
-_NEWTON_CAP = 500
 _SAVE_EVERY = 1.0  # seconds between checkpoint saves while a scan runs
 
 
@@ -293,17 +296,12 @@ class _Workspace:
         return z
 
 
-def _values_for(
-    n: int, idx: np.ndarray, newton_tol: float, ws: _Workspace | None = None
-) -> np.ndarray:
+def _values_for(n: int, idx: np.ndarray, ws: _Workspace) -> np.ndarray:
     """Least Gram eigenvalues for a batch of packed indices.
 
     Mirrors the scalar pipeline operation for operation so a value never
-    depends on the batch it was computed in.  ``ws`` lends its buffers;
-    without one a workspace sized to the batch is made.
+    depends on the batch it was computed in.  ``ws`` lends its buffers.
     """
-    if ws is None:
-        ws = _Workspace(n, idx.shape[0])
     bsz = idx.shape[0]
     half = (n + 1) // 2
     pows = [None, ws.gram(idx)]
@@ -344,10 +342,10 @@ def _values_for(
 
     coeffs = e.astype(np.float64)
     coeffs[1::2] *= -1.0
-    return _newton_batch(coeffs, newton_tol)
+    return _newton_batch(coeffs)
 
 
-def _newton_batch(coeffs: np.ndarray, tol: float) -> np.ndarray:
+def _newton_batch(coeffs: np.ndarray) -> np.ndarray:
     """Vectorized twin of the scalar Newton walk, identical stop rules.
 
     ``coeffs`` holds one coefficient per row, (w, B).  A column that has
@@ -361,7 +359,7 @@ def _newton_batch(coeffs: np.ndarray, tol: float) -> np.ndarray:
     xa = np.zeros(bsz)
     live = np.ones(bsz, dtype=bool)
     q, dq, s = np.empty(bsz), np.empty(bsz), np.empty(bsz)
-    for _ in range(_NEWTON_CAP):
+    for _ in range(NEWTON_CAP):
         m = xa.size
         q, dq, s = q[:m], dq[:m], s[:m]
         q[...] = coeffs[0]
@@ -385,7 +383,7 @@ def _newton_batch(coeffs: np.ndarray, tol: float) -> np.ndarray:
             raise ConvergenceError("iterates left the monotone regime")
         # negative steps inside the jitter band park at the previous iterate
         xn = np.where(noise_done | backstep, xa, xn)
-        done = noise_done | backstep | (step <= tol * xn)
+        done = noise_done | backstep | (step <= NEWTON_TOL * xn)
         np.copyto(xa, xn, where=live)
         live &= ~done
         nlive = np.count_nonzero(live)
@@ -396,16 +394,14 @@ def _newton_batch(coeffs: np.ndarray, tol: float) -> np.ndarray:
             cols, xa = cols[live], xa[live]
             coeffs, abs_c = coeffs[:, live], abs_c[:, live]
             live = np.ones(nlive, dtype=bool)
-    raise ConvergenceError(f"no convergence within {_NEWTON_CAP} iterations")
+    raise ConvergenceError(f"no convergence within {NEWTON_CAP} iterations")
 
 
 # the workspace of each thread, kept between scan_block calls
 _per_thread = threading.local()
 
 
-def scan_block(
-    n: int, start: int, stop: int, newton_tol: float = DEFAULT_NEWTON_TOL
-) -> PartialResult:
+def scan_block(n: int, start: int, stop: int) -> PartialResult:
     """Scan one contiguous index range; returns its minimum and near-ties."""
     size = min(_CHUNK, max(stop - start, 0))
     ws = getattr(_per_thread, "workspace", None)
@@ -419,7 +415,7 @@ def scan_block(
         hi = min(lo + _CHUNK, stop)
         idx = np.arange(lo, hi, dtype=np.int64)
         count += idx.size
-        vals = _values_for(n, idx, newton_tol, ws)
+        vals = _values_for(n, idx, ws)
         vmin = float(vals.min())
         if vmin < best:
             best = vmin
@@ -468,8 +464,8 @@ def checkpoint_save(path: str, ck: Checkpoint) -> None:
 
 def checkpoint_load(path: str) -> Checkpoint:
     """Read a checkpoint; a version "1" file, a list of block ids written
-    before runs and the tolerance were recorded, loads as at the default
-    tolerance and is written back as the current version."""
+    before runs and the tolerance were recorded, loads as at NEWTON_TOL and
+    is written back as the current version."""
     try:
         with open(path) as fh:
             d = json.load(fh)
@@ -485,7 +481,7 @@ def checkpoint_load(path: str) -> Checkpoint:
             ids = _Runs()
             for b in sorted(set(d["completed_block_ids"])):
                 ids.add(b)
-            runs, tol = ids.runs(), DEFAULT_NEWTON_TOL
+            runs, tol = ids.runs(), NEWTON_TOL
         else:
             runs = tuple((start, stop) for start, stop in d["completed_runs"])
             tol = d["newton_tol"]
@@ -502,18 +498,16 @@ def checkpoint_load(path: str) -> Checkpoint:
         raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc
 
 
-def _validate_checkpoint(
-    ck: Checkpoint, n: int, block_size: int, newton_tol: float, nblocks: int
-) -> None:
+def _validate_checkpoint(ck: Checkpoint, n: int, block_size: int, nblocks: int) -> None:
     if ck.n != n:
         raise CheckpointError(f"checkpoint is for n={ck.n}, run wants n={n}")
     if ck.block_size != block_size:
         raise CheckpointError(
             f"checkpoint block size {ck.block_size} does not match {block_size}"
         )
-    if ck.newton_tol != newton_tol:
+    if ck.newton_tol != NEWTON_TOL:
         raise CheckpointError(
-            f"checkpoint Newton tolerance {ck.newton_tol!r} does not match {newton_tol!r}"
+            f"checkpoint Newton tolerance {ck.newton_tol!r} does not match {NEWTON_TOL!r}"
         )
     # runs in canonical form read a0 < b0 < a1 < b1 < ... within [0, nblocks]
     edges = [v for run in ck.completed_runs for v in run]
@@ -561,7 +555,6 @@ def exhaustive_min(
     workers: int = 1,
     block_size: int = DEFAULT_BLOCK_SIZE,
     checkpoint_path: Optional[str] = None,
-    newton_tol: float = DEFAULT_NEWTON_TOL,
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> SearchReport:
     """Scan every size-n pattern and report the least Gram eigenvalue.
@@ -587,12 +580,12 @@ def exhaustive_min(
     if checkpoint_path is not None:
         if os.path.exists(checkpoint_path):
             ck = checkpoint_load(checkpoint_path)
-            _validate_checkpoint(ck, n, block_size, newton_tol, nblocks)
+            _validate_checkpoint(ck, n, block_size, nblocks)
         else:
             ck = Checkpoint(
                 n=n,
                 block_size=block_size,
-                newton_tol=newton_tol,
+                newton_tol=NEWTON_TOL,
                 completed_runs=(),
                 running_argmin_indices=(),
                 created=_now(),
@@ -634,7 +627,7 @@ def exhaustive_min(
             # the merged state of the finished blocks: their near-ties
             # scanned again, and the patterns the runs cover
             for idx in ck.running_argmin_indices:
-                state = merge_partials(state, scan_block(n, idx, idx + 1, newton_tol))
+                state = merge_partials(state, scan_block(n, idx, idx + 1))
             done_count = sum(
                 blocks[stop - 1][1] - blocks[start][0] for start, stop in done.runs()
             )
@@ -642,11 +635,18 @@ def exhaustive_min(
         if workers == 1:
             for b in pending:
                 start, stop = blocks[b]
-                note_done(b, scan_block(n, start, stop, newton_tol))
+                note_done(b, scan_block(n, start, stop))
         else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            # the workers ignore SIGINT: a Ctrl-C in a terminal signals the
+            # whole process group, and a worker interrupted mid-block could
+            # leave the pool hung; the driver alone stops the scan
+            with ProcessPoolExecutor(
+                max_workers=workers,
+                initializer=signal.signal,
+                initargs=(signal.SIGINT, signal.SIG_IGN),
+            ) as pool:
                 futs = {
-                    pool.submit(scan_block, n, blocks[b][0], blocks[b][1], newton_tol): b
+                    pool.submit(scan_block, n, blocks[b][0], blocks[b][1]): b
                     for b in pending
                 }
                 try:
@@ -662,7 +662,7 @@ def exhaustive_min(
                     # executor's call queue holds: their futures are
                     # already running, so they still finish and are
                     # discarded while this exit waits.  The bounded
-                    # submission window planned in ROADMAP.md (item 4) caps
+                    # submission window planned in ROADMAP.md caps
                     # how many blocks can be in flight.
                     for fut in futs:
                         fut.cancel()
@@ -680,7 +680,7 @@ def exhaustive_min(
             f"scan incomplete: visited {state.count} of {total} indices"
         )
     argmin = _adjudicate(n, state.candidates)
-    z0v = smallest_eigenvalue(gram(y0(n)), newton_tol)
+    z0v = smallest_eigenvalue(gram(y0(n)))
     y0i = y0_index(n)
     holds = abs(state.best - z0v) <= TIE_EPS and y0i in argmin
     return SearchReport(

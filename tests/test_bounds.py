@@ -12,6 +12,7 @@ from gramfloor.bounds import (
     divisor_matrix,
     divisor_matrix_bound_check,
     euler_phi,
+    floor_value,
     hong_loewy_check,
     jordan_totient,
     mattila_bases,
@@ -210,7 +211,10 @@ def test_bounds_table_rows():
 
 
 def test_bounds_table_floor_is_consistent_past_exhaustive_cap():
-    # floor_value switches from the scan to Y0's value past n = 6; the two
-    # agree bit for bit wherever both are computed
-    for n in range(2, 7):
-        assert exhaustive_min(n).c_n_estimate == smallest_eigenvalue(gram(y0(n)))
+    # floor_value is Y0's value at every n; it must be the exhaustive floor
+    # bit for bit wherever a scan computes both (n = 1 backs the Hong-Loewy
+    # bound of a one-element set)
+    for n in range(1, 7):
+        scanned = exhaustive_min(n).c_n_estimate
+        assert scanned == smallest_eigenvalue(gram(y0(n)))
+        assert floor_value(n) == scanned

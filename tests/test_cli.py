@@ -5,15 +5,17 @@ import io
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import gramfloor
-from gramfloor.cli import _default_workers, main
-from gramfloor.search import SearchReport, exhaustive_min
+from gramfloor.cli import main
+from gramfloor.search import SearchReport, checkpoint_load, exhaustive_min
 
 
 def test_verify_exit_zero_and_report(capsys):
@@ -59,6 +61,13 @@ def test_unknown_flags_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--n", "3", "--prune"])
     assert exc.value.code == 2
+    # the Newton stopping rule is fixed, so no subcommand takes a tolerance
+    for argv in (["verify", "--n", "3"], ["uniqueness", "--n", "3"],
+                 ["extremal", "--n", "3"], ["bounds", "--n-max", "3"],
+                 ["gcd-check", "--set", "1,2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--tol", "1e-3"])
+        assert exc.value.code == 2, argv
 
 
 def test_package_exports_resolve():
@@ -161,17 +170,12 @@ def test_checkpoint_rejection_exits_three(tmp_path):
                  "--checkpoint", path]) == 0
     assert main(["verify", "--n", "5", "--workers", "1", "--block-size", "64",
                  "--checkpoint", path]) == 3
+    # a file recording another Newton tolerance is refused as well
+    saved = json.loads(Path(path).read_text())
+    saved["newton_tol"] = 1e-12
+    Path(path).write_text(json.dumps(saved))
     assert main(["verify", "--n", "5", "--workers", "1", "--block-size", "128",
-                 "--tol", "1e-12", "--checkpoint", path]) == 3
-
-
-def test_default_workers_env(monkeypatch):
-    monkeypatch.setenv("IHM_WORKERS", "3")
-    assert _default_workers() == 3
-    monkeypatch.setenv("IHM_WORKERS", "garbage")
-    assert _default_workers() >= 1
-    monkeypatch.delenv("IHM_WORKERS")
-    assert _default_workers() >= 1
+                 "--checkpoint", path]) == 3
 
 
 def _child_env():
@@ -226,6 +230,43 @@ def test_streams_do_not_mix_subprocess():
     json.loads(proc.stdout)
     assert "blocks 1/1" in proc.stderr
     assert "blocks 1/1" not in proc.stdout
+
+
+def test_ctrl_c_on_the_process_group_stops_a_pool_scan(tmp_path):
+    # Ctrl-C in a terminal sends SIGINT to every process of the foreground
+    # group, the pool's workers included; each trial must end promptly and
+    # leave a checkpoint that loads
+    for trial in range(10):
+        path = tmp_path / f"ck{trial}.json"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "gramfloor.cli", "uniqueness", "--n", "7",
+             "--block-size", "1024", "--workers", "2", "--checkpoint", str(path)],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_child_env(),
+            start_new_session=True,
+        )
+        # a scan that never reports a block is killed too, so no trial hangs
+        guard = threading.Timer(60, os.killpg, (proc.pid, signal.SIGKILL))
+        guard.start()
+        try:
+            first = proc.stderr.readline()
+            assert first.startswith("blocks "), (trial, first)
+            os.killpg(proc.pid, signal.SIGINT)
+            try:
+                proc.communicate(timeout=20)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+                pytest.fail(f"trial {trial}: scan still running 20 s after SIGINT")
+        finally:
+            guard.cancel()
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        assert checkpoint_load(str(path)).n == 7
 
 
 def test_console_entry_point():

@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import random
+import signal
 import subprocess
 import sys
 import threading
@@ -96,7 +97,8 @@ def test_kernel_values_match_scalar_pipeline_bitwise(n):
     else:
         rng = random.Random(n)
         indices = [rng.randrange(total) for _ in range(400)] + [y0_index(n)]
-    values = search._values_for(n, np.array(indices, dtype=np.int64), 1e-13)
+    ws = search._Workspace(n, len(indices))
+    values = search._values_for(n, np.array(indices, dtype=np.int64), ws)
     for i, value in zip(indices, values.tolist()):
         assert value == smallest_eigenvalue(gram(from_index(n, i))), i
 
@@ -262,8 +264,13 @@ def test_checkpoint_rejects_parameter_mismatch(tmp_path):
         exhaustive_min(5, block_size=64, checkpoint_path=path)
     with pytest.raises(CheckpointError):
         exhaustive_min(4, block_size=128, checkpoint_path=path)
+    # a file written at another Newton tolerance holds values of another c_n
+    saved = json.loads(Path(path).read_text())
+    assert saved["newton_tol"] == 1e-13
+    saved["newton_tol"] = 1e-12
+    Path(path).write_text(json.dumps(saved))
     with pytest.raises(CheckpointError, match="tolerance"):
-        exhaustive_min(5, block_size=128, checkpoint_path=path, newton_tol=1e-12)
+        exhaustive_min(5, block_size=128, checkpoint_path=path)
 
 
 def test_interrupted_scan_resumes_identically(tmp_path):
@@ -317,7 +324,7 @@ def test_checkpoint_with_running_min_key_resumes_identically(tmp_path):
 
 def test_version_one_checkpoint_resumes_at_default_tolerance(tmp_path):
     # a version "1" file lists block ids and predates the tolerance field:
-    # it resumes at the default tolerance only, and is rewritten as runs
+    # it loads at the fixed tolerance, and is rewritten as runs
     path = tmp_path / "ck.json"
     baseline = _without_timing(exhaustive_min(5, block_size=64))
     blocks = partition(5, 64)
@@ -337,8 +344,6 @@ def test_version_one_checkpoint_resumes_at_default_tolerance(tmp_path):
     loaded = checkpoint_load(str(path))
     assert loaded.completed_runs == ((0, 2), (3, 4), (7, 8), (10, 11))
     assert loaded.newton_tol == 1e-13
-    with pytest.raises(CheckpointError, match="tolerance"):
-        exhaustive_min(5, block_size=64, checkpoint_path=str(path), newton_tol=1e-12)
 
     resumed = exhaustive_min(5, block_size=64, checkpoint_path=str(path))
     assert _without_timing(resumed) == baseline
@@ -444,6 +449,30 @@ def test_interrupted_pool_scan_stops_its_workers(tmp_path, monkeypatch):
     started = [float(p.read_text()) for p in stamps.iterdir()]
     late = [t for t in started if t > stopped_at[0]]
     assert len(late) <= workers + 1, (len(late), len(started))
+
+
+def _disposition_scan_block(n, start, stop, *args):
+    # runs in the pool's workers: leaves one file per block, holding how
+    # the worker handles SIGINT
+    handler = signal.getsignal(signal.SIGINT)
+    stamp = os.path.join(os.environ["GRAMFLOOR_TEST_STAMPS"], str(start))
+    with open(stamp, "w") as fh:
+        fh.write("ignored" if handler is signal.SIG_IGN else repr(handler))
+    return _real_scan_block(n, start, stop, *args)
+
+
+def test_pool_workers_ignore_sigint(tmp_path, monkeypatch):
+    # Ctrl-C in a terminal signals the whole process group: the workers
+    # must leave it to the driver, which keeps its own handler
+    stamps = tmp_path / "stamps"
+    stamps.mkdir()
+    monkeypatch.setenv("GRAMFLOOR_TEST_STAMPS", str(stamps))
+    monkeypatch.setattr(search, "scan_block", _disposition_scan_block)
+    driver_handler = signal.getsignal(signal.SIGINT)
+    exhaustive_min(4, workers=2, block_size=8)
+    assert {p.read_text() for p in stamps.iterdir()} == {"ignored"}
+    assert len(list(stamps.iterdir())) == 8
+    assert signal.getsignal(signal.SIGINT) is driver_handler
 
 
 class _Stop(Exception):
