@@ -73,34 +73,28 @@ class CharPoly:
 
 
 def power_sums(m: IntegerMatrix | GramMatrix) -> PowerSums:
-    """Exact traces of the first n powers.
+    """Exact traces of the first n powers of a symmetric matrix.
 
-    Symmetric input needs only powers up to ceil(n/2): for a + b = k,
-    trace(M^k) is the entrywise product sum of M^a and M^b.
+    Only powers up to ceil(n/2) are formed: for a + b = k, trace(M^k) is
+    the entrywise product sum of M^a and M^b, which holds because M is
+    symmetric.  Every caller passes a Gram matrix or a Gram inverse; other
+    input raises ValueError.
     """
     n = m.n
     rows = m.entries
-    symmetric = all(rows[i][j] == rows[j][i] for i in range(n) for j in range(i))
+    if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("power sums need a symmetric matrix")
     p = [0] * (n + 1)
-    if symmetric:
-        half = (n + 1) // 2
-        pows = [None, m]
-        for _ in range(2, half + 1):
-            pows.append(mat_mul(pows[-1], m))
-        for k in range(1, n + 1):
-            if k <= half:
-                p[k] = mat_trace(pows[k])
-            else:
-                a, b = pows[half].entries, pows[k - half].entries
-                p[k] = sum(
-                    x * y for arow, brow in zip(a, b) for x, y in zip(arow, brow)
-                )
-    else:
-        power = m
-        p[1] = mat_trace(power)
-        for k in range(2, n + 1):
-            power = mat_mul(power, m)
-            p[k] = mat_trace(power)
+    half = (n + 1) // 2
+    pows = [None, m]
+    for _ in range(2, half + 1):
+        pows.append(mat_mul(pows[-1], m))
+    for k in range(1, n + 1):
+        if k <= half:
+            p[k] = mat_trace(pows[k])
+        else:
+            a, b = pows[half].entries, pows[k - half].entries
+            p[k] = sum(x * y for arow, brow in zip(a, b) for x, y in zip(arow, brow))
     return PowerSums(n, tuple(p[1:]))
 
 

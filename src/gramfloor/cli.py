@@ -2,9 +2,10 @@
 
 Reports go to standard output (or --out); progress lines go to standard
 error, so the two streams never mix.  Exit codes: 0 success, 1 a verified
-claim came back false, 2 invalid flags, 3 checkpoint rejection.  Exact
-integer matrix entries are serialized as decimal strings in JSON, since
-entries grow past what a JSON double can hold losslessly.
+claim came back false, 2 invalid flags, 3 checkpoint rejection, 130 a scan
+stopped by Ctrl-C.  Exact integer matrix entries are serialized as decimal
+strings in JSON, since entries grow past what a JSON double can hold
+losslessly.
 """
 
 from __future__ import annotations
@@ -107,6 +108,11 @@ def _run_scan(args: argparse.Namespace, require_unique: bool) -> int:
     except CheckpointError as exc:
         print(f"checkpoint rejected: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        # exhaustive_min has already saved the finished blocks
+        saved = f"; finished blocks saved to {args.checkpoint}" if args.checkpoint else ""
+        print(f"scan interrupted{saved}", file=sys.stderr)
+        return 130
     if args.format == "text":
         lines = [
             f"n = {report.n}",

@@ -5,7 +5,10 @@ carrying the n(n-1)/2 strictly-lower entries, row-major: positions (1,0),
 (2,0), (2,1), (3,0), ... in 0-based (row, col) order.  Bit k of that integer
 is position k, so the packed field doubles as the enumeration index of Y
 within its size class: ``from_index(n, i).bits == i``.  The diagonal is
-implicitly all ones and the upper triangle implicitly zero.
+implicitly all ones and the upper triangle implicitly zero.  Row i sits in
+bits tri(i) .. tri(i) + i - 1, and two functions read that layout:
+``LowerUnitMatrix.row_mask`` for one Python-int pattern and ``row_masks``
+for a batch of int64 indices.  Every other reader goes through them.
 
 Dense exact matrices are tuples of tuples of Python ints.  Nothing in this
 module rounds; Python integers keep every product exact at any size.
@@ -15,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterator, Sequence
+
+import numpy as np
 
 
 def tri(n: int) -> int:
@@ -42,27 +47,37 @@ class LowerUnitMatrix:
         if not 0 <= self.bits < (1 << tri(self.n)):
             raise ValueError(f"bitfield {self.bits} out of range for n={self.n}")
 
-    def bit(self, i: int, j: int) -> int:
-        """Strictly-lower entry at 0-based (i, j), requires i > j."""
-        if not 0 <= j < i < self.n:
-            raise IndexError(f"({i}, {j}) is not strictly lower for n={self.n}")
-        return (self.bits >> (tri(i) + j)) & 1
-
     def entry(self, i: int, j: int) -> int:
         """Full-matrix entry at 0-based (i, j)."""
-        if i == j:
-            return 1
-        if i < j:
-            return 0
-        return self.bit(i, j)
-
-    def row_lower_bits(self, i: int) -> int:
-        """Row i of the strictly-lower part, packed little-endian by column."""
-        return (self.bits >> tri(i)) & ((1 << i) - 1)
+        if not 0 <= j < self.n:
+            raise IndexError(f"column {j} out of range for n={self.n}")
+        return (self.row_mask(i) >> j) & 1
 
     def row_mask(self, i: int) -> int:
         """Row i as a column bitmask, unit diagonal included."""
-        return self.row_lower_bits(i) | (1 << i)
+        if not 0 <= i < self.n:
+            raise IndexError(f"row {i} out of range for n={self.n}")
+        return ((self.bits >> tri(i)) & ((1 << i) - 1)) | (1 << i)
+
+
+def row_masks(n: int, idx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row bitmasks of a batch of packed int64 indices, unit diagonal included.
+
+    The batched twin of LowerUnitMatrix.row_mask: entry (i, b) is row i of
+    pattern idx[b], shape (n, B) int64, written to ``out`` when given.  An
+    int64 holds tri(n) <= 63 packed positions, so n <= 11; larger sizes
+    raise ValueError.
+    """
+    if tri(n) > 63:
+        raise ValueError(
+            f"packed int64 indices cover tri(n) <= 63 bit positions, "
+            f"n = {n} needs {tri(n)}"
+        )
+    rows = np.arange(n, dtype=np.int64)[:, None]
+    masks = np.right_shift(idx, rows * (rows - 1) // 2, out=out)
+    masks &= (1 << rows) - 1
+    masks |= 1 << rows
+    return masks
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,12 @@ Off-diagonal inverse entries obey |a_ij| <= F_{i-j} (Fibonacci numbers with
 F_1 = F_2 = 1), and the bound is checkable entrywise.  The Gram inverse
 (Y Y^T)^-1 = A^T A is assembled from A without ever inverting a float.
 
-The ``*_batch`` helpers vectorize the same recurrences over many packed
-indices at once in int64; they exist for bulk scans and are equivalence
-tested against the scalar paths.
+The ``*_batch`` helpers vectorize the same recurrences over many patterns
+at once in int64; they exist for bulk scans and are equivalence tested
+against the scalar paths.  Patterns are read a row at a time, as the
+scalar recurrence reads them: packed indices through core.row_masks, bit
+arrays as their columns tri(k) .. tri(k) + k - 1, so no dense copy of the
+strict lower part is built.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ from .core import (
     mat_identity,
     mat_mul,
     mat_transpose,
+    row_masks,
+    to_dense,
     tri,
 )
 
@@ -56,23 +61,26 @@ def invert_unit_lower(y: LowerUnitMatrix) -> IntegerMatrix:
     a: list[list[int]] = [[0] * n for _ in range(n)]
     for k in range(n):
         a[k][k] = 1
-        row = y.row_lower_bits(k)
+        row = y.row_mask(k)
         ones = [i for i in range(k) if (row >> i) & 1]
         for l in range(k):
             a[k][l] = -sum(a[i][l] for i in ones if i >= l)
     return IntegerMatrix(n, tuple(tuple(r) for r in a))
 
 
+def _strict_lower(y: LowerUnitMatrix) -> IntegerMatrix:
+    """N = Y - I, the strictly lower part of a pattern."""
+    rows = to_dense(y).entries
+    return IntegerMatrix(
+        y.n,
+        tuple(tuple(v - (i == j) for j, v in enumerate(row)) for i, row in enumerate(rows)),
+    )
+
+
 def invert_via_nilpotent(y: LowerUnitMatrix) -> IntegerMatrix:
     """Independent oracle: alternating sum of powers of the strict lower part."""
     n = y.n
-    nil = IntegerMatrix(
-        n,
-        tuple(
-            tuple(y.bit(i, j) if i > j else 0 for j in range(n))
-            for i in range(n)
-        ),
-    )
+    nil = _strict_lower(y)
     acc = mat_identity(n)
     term = mat_identity(n)
     sign = 1
@@ -98,13 +106,7 @@ def nilpotent_band_check(y: LowerUnitMatrix, k: int) -> bool:
     if k < 0:
         raise ValueError(f"power must be nonnegative, got {k}")
     n = y.n
-    nil = IntegerMatrix(
-        n,
-        tuple(
-            tuple(y.bit(i, j) if i > j else 0 for j in range(n))
-            for i in range(n)
-        ),
-    )
+    nil = _strict_lower(y)
     power = mat_identity(n)
     for _ in range(k):
         power = mat_mul(power, nil)
@@ -148,54 +150,38 @@ _BATCH_N_MAX = 90
 _GRAM_BATCH_N_MAX = 47
 
 
-def _unpack_strict_lower(n: int, patterns: np.ndarray) -> np.ndarray:
-    """(B, n, n) int64 strict lower parts of the given patterns.
+def invert_batch(n: int, patterns: np.ndarray) -> np.ndarray:
+    """Column-recurrence inverses for a whole batch of patterns.
 
-    Accepts packed indices as a 1-D int64 array (needs tri(n) <= 63) or the
-    already-unpacked bits as a (B, tri(n)) array in position order.
+    Patterns are packed int64 indices (1-D, n <= 11, decoded by
+    core.row_masks) or bit rows (2-D, B x tri(n), in position order).
+    Returns (B, n, n) int64 matrices equal to invert_unit_lower on each
+    pattern.  Bounded to n <= 90 so no entry can overflow int64.
     """
-    m = tri(n)
+    if n > _BATCH_N_MAX:
+        raise ValueError(f"batch inversion supports n <= {_BATCH_N_MAX}, got {n}")
     patterns = np.asarray(patterns)
     if patterns.ndim == 1:
-        if m > 63:
-            raise ValueError(
-                f"packed indices only cover tri(n) <= 63 bit positions, "
-                f"pass a (B, {m}) bit array for n = {n}"
-            )
-        bits = (patterns.astype(np.int64)[:, None] >> np.arange(m, dtype=np.int64)) & 1
+        masks = row_masks(n, patterns.astype(np.int64))
+        # bits 0 .. k-1 of row k's mask, one column per bit
+        rows = [(masks[k, :, None] >> np.arange(k)) & 1 for k in range(n)]
     elif patterns.ndim == 2:
+        m = tri(n)
         if patterns.shape[1] != m:
             raise ValueError(f"expected {m} bit columns for n = {n}, got {patterns.shape[1]}")
         bits = patterns.astype(np.int64)
         if bits.size and (bits.min() < 0 or bits.max() > 1):
             raise ValueError("bit arrays must be 0/1 valued")
+        # row k's strictly lower bits are columns tri(k) .. tri(k) + k - 1
+        rows = [bits[:, tri(k) : tri(k) + k] for k in range(n)]
     else:
         raise ValueError(f"patterns must be 1-D packed or 2-D bits, got ndim={patterns.ndim}")
-    out = np.zeros((patterns.shape[0], n, n), dtype=np.int64)
-    if m:
-        rows = np.repeat(np.arange(1, n), np.arange(1, n))
-        cols = np.concatenate([np.arange(i) for i in range(1, n)])
-        out[:, rows, cols] = bits
-    return out
-
-
-def invert_batch(n: int, patterns: np.ndarray) -> np.ndarray:
-    """Column-recurrence inverses for a whole batch of patterns.
-
-    Patterns are packed indices (1-D) or unpacked bit rows (2-D); see
-    _unpack_strict_lower.  Returns (B, n, n) int64 matrices equal to
-    invert_unit_lower on each pattern.  Bounded to n <= 90 so no entry can
-    overflow int64.
-    """
-    if n > _BATCH_N_MAX:
-        raise ValueError(f"batch inversion supports n <= {_BATCH_N_MAX}, got {n}")
-    nil = _unpack_strict_lower(n, patterns)
-    a = np.zeros_like(nil)
+    a = np.zeros((patterns.shape[0], n, n), dtype=np.int64)
     idx = np.arange(n)
     a[:, idx, idx] = 1
     for k in range(1, n):
         # row k of the inverse from rows above it
-        a[:, k, :k] = -np.einsum("bi,bij->bj", nil[:, k, :k], a[:, :k, :k])
+        a[:, k, :k] = -np.einsum("bi,bij->bj", rows[k], a[:, :k, :k])
     return a
 
 

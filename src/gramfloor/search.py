@@ -14,17 +14,18 @@ through their integer characteristic polynomials, so the reported argmin set
 is a statement about integers, not floats.
 
 Exactness notes for the kernel: Z is built straight from the row bitmasks
-of each packed index, Z_ij = popcount(row_i & row_j), through a 2^9-entry
-table; every entry is an integer of at most n, so no unpacked matrix of Y
-and no float product Y Y^T is needed.  A size-n pattern Y has at most
-n(n+1)/2 ones, so every eigenvalue of Z is at most s = n(n+1)/2.  All power
-products stay below n * s^n, which for n <= 9 is under 2^53; matrix products
-of nonnegative integers that small are exact in float64 no matter how the
-sums are ordered, so the BLAS-backed batched products are exact and
-reproducible.  Newton-identity accumulation happens in int64, where the same
-bound keeps every partial sum under 2^63.  The Newton identities and the
-Newton walk run on one row per coefficient, elementwise in the same order as
-the scalar pipeline, so every value is bit for bit the scalar one.
+that core.row_masks decodes from each packed index, Z_ij = popcount(row_i &
+row_j), through a 2^9-entry table; every entry is an integer of at most n,
+so no unpacked matrix of Y and no float product Y Y^T is needed.  A size-n
+pattern Y has at most n(n+1)/2 ones, so every eigenvalue of Z is at most s =
+n(n+1)/2.  All power products stay below n * s^n, which for n <= 9 is under
+2^53; matrix products of nonnegative integers that small are exact in
+float64 no matter how the sums are ordered, so the BLAS-backed batched
+products are exact and reproducible.  Newton-identity accumulation happens
+in int64, where the same bound keeps every partial sum under 2^63.  The
+Newton identities and the Newton walk run on one row per coefficient,
+elementwise in the same order as the scalar pipeline, so every value is bit
+for bit the scalar one.
 
 The kernel works through a block in chunks of _CHUNK indices, small enough
 that a chunk's matrices stay in cache, and fills the same work buffers again
@@ -76,7 +77,7 @@ from .charpoly import (
     power_sums,
     smallest_eigenvalue,
 )
-from .core import from_index, gram, tri, y0
+from .core import from_index, gram, row_masks, tri, y0
 
 TIE_EPS = 1e-9
 DEFAULT_BLOCK_SIZE = 1 << 20
@@ -246,11 +247,6 @@ class _Workspace:
             raise ValueError(f"exhaustive scan supports 1 <= n <= {SEARCH_N_MAX}, got {n}")
         self.n = n
         self.size = size
-        rows = np.arange(n)
-        # row i of a pattern sits in packed bits tri(i) .. tri(i) + i - 1
-        self.shift = (rows * (rows - 1) // 2)[:, None]
-        self.lower = ((1 << rows) - 1)[:, None]
-        self.diag = (1 << rows)[:, None]
         # one popcount per row pair i <= j, the pairs of row i from
         # pair_start[i]; sym maps entry (i, j) of Z to its pair
         upper_i, upper_j = np.triu_indices(n)
@@ -277,10 +273,7 @@ class _Workspace:
         included, as core.gram computes it for one pattern.
         """
         n, bsz = self.n, idx.shape[0]
-        masks = _part(self.masks, n, bsz)
-        np.right_shift(idx, self.shift, out=masks)
-        masks &= self.lower
-        masks |= self.diag
+        masks = row_masks(n, idx, out=_part(self.masks, n, bsz))
         pairs = _part(self.pairs, self.npairs, bsz)
         for i in range(n):
             lo, hi = self.pair_start[i], self.pair_start[i + 1]
@@ -521,9 +514,13 @@ def _validate_checkpoint(ck: Checkpoint, n: int, block_size: int, nblocks: int) 
             f"0..{nblocks - 1}: {list(ck.completed_runs[:5])}"
         )
     total = 1 << tri(n)
-    bad_idx = [i for i in ck.running_argmin_indices if not 0 <= i < total]
+    bad_idx = [
+        i for i in ck.running_argmin_indices if type(i) is not int or not 0 <= i < total
+    ]
     if bad_idx:
-        raise CheckpointError(f"checkpoint contains out-of-range indices {bad_idx[:5]}")
+        raise CheckpointError(
+            f"checkpoint contains non-integer or out-of-range indices {bad_idx[:5]}"
+        )
 
 
 # -- driver ------------------------------------------------------------------

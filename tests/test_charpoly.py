@@ -21,7 +21,7 @@ from gramfloor.charpoly import (
     smallest_root_newton,
     spectral_radius_power_iteration,
 )
-from gramfloor.core import from_index, gram, tri, y0
+from gramfloor.core import IntegerMatrix, from_index, gram, tri, y0
 from gramfloor.extremal import z0_inverse_closed
 from gramfloor.inverse import gram_inverse
 
@@ -29,6 +29,11 @@ from gramfloor.inverse import gram_inverse
 def test_power_sums_frozen_example():
     ps = power_sums(gram(y0(3)))
     assert ps.p == (5, 13, 38)
+
+
+def test_power_sums_refuses_non_symmetric_input():
+    with pytest.raises(ValueError, match="symmetric"):
+        power_sums(IntegerMatrix(2, ((1, 0), (1, 1))))
 
 
 def test_newton_identities_frozen_examples():

@@ -176,6 +176,13 @@ def test_checkpoint_rejection_exits_three(tmp_path):
     Path(path).write_text(json.dumps(saved))
     assert main(["verify", "--n", "5", "--workers", "1", "--block-size", "128",
                  "--checkpoint", path]) == 3
+    # so is a near-tie index that is not an integer
+    saved["newton_tol"] = 1e-13
+    for indices in ([1.5], ["3"]):
+        saved["running_argmin_indices"] = indices
+        Path(path).write_text(json.dumps(saved))
+        assert main(["verify", "--n", "5", "--workers", "1", "--block-size", "128",
+                     "--checkpoint", path]) == 3
 
 
 def _child_env():
@@ -234,8 +241,8 @@ def test_streams_do_not_mix_subprocess():
 
 def test_ctrl_c_on_the_process_group_stops_a_pool_scan(tmp_path):
     # Ctrl-C in a terminal sends SIGINT to every process of the foreground
-    # group, the pool's workers included; each trial must end promptly and
-    # leave a checkpoint that loads
+    # group, the pool's workers included; each trial must end promptly,
+    # with exit code 130 and no traceback, and leave a checkpoint that loads
     for trial in range(10):
         path = tmp_path / f"ck{trial}.json"
         proc = subprocess.Popen(
@@ -255,7 +262,7 @@ def test_ctrl_c_on_the_process_group_stops_a_pool_scan(tmp_path):
             assert first.startswith("blocks "), (trial, first)
             os.killpg(proc.pid, signal.SIGINT)
             try:
-                proc.communicate(timeout=20)
+                _, err = proc.communicate(timeout=20)
             except subprocess.TimeoutExpired:
                 os.killpg(proc.pid, signal.SIGKILL)
                 proc.communicate()
@@ -266,6 +273,9 @@ def test_ctrl_c_on_the_process_group_stops_a_pool_scan(tmp_path):
                 os.killpg(proc.pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
+        assert proc.returncode == 130, (trial, proc.returncode, err)
+        assert "Traceback" not in err, (trial, err)
+        assert str(path) in err, (trial, err)
         assert checkpoint_load(str(path)).n == 7
 
 

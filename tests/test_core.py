@@ -1,5 +1,8 @@
 """Bit-packed pattern representation and exact Gram products."""
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,6 +20,7 @@ from gramfloor.core import (
     mat_identity,
     mat_mul,
     mat_transpose,
+    row_masks,
     to_dense,
     tri,
     y0,
@@ -64,7 +68,7 @@ def test_y0_alternating_parity():
     y = y0(5)
     for i in range(5):
         for j in range(i):
-            assert y.bit(i, j) == ((i + j) % 2)
+            assert y.entry(i, j) == ((i + j) % 2)
     assert y0(3).bits == 5
 
 
@@ -81,7 +85,7 @@ def test_gram_diagonal_counts_row_ones():
         y = from_index(4, bits)
         z = gram(y)
         for i in range(4):
-            ones = 1 + sum(y.bit(i, j) for j in range(i))
+            ones = 1 + sum(y.entry(i, j) for j in range(i))
             assert z.entries[i][i] == ones
 
 
@@ -146,3 +150,25 @@ def test_row_mask_matches_bits():
     assert y.row_mask(0) == 0b001
     assert y.row_mask(1) == 0b011
     assert y.row_mask(2) == 0b110
+    for i, j in [(3, 0), (-1, 0), (1, 3), (1, -1)]:
+        with pytest.raises(IndexError):
+            y.entry(i, j)
+    with pytest.raises(IndexError):
+        y.row_mask(3)
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_row_masks_match_row_mask(n):
+    # every pattern up to n = 5; beyond, a seeded sample plus all ones
+    total = 1 << tri(n)
+    if n <= 5:
+        indices = list(range(total))
+    else:
+        rng = random.Random(n)
+        indices = [rng.randrange(total) for _ in range(300)] + [total - 1]
+    idx = np.array(indices, dtype=np.int64)
+    out = np.empty((n, idx.size), dtype=np.int64)
+    assert row_masks(n, idx, out=out) is out
+    for b, i in enumerate(indices):
+        y = from_index(n, i)
+        assert out[:, b].tolist() == [y.row_mask(r) for r in range(n)], i

@@ -92,13 +92,14 @@ def test_bound_witness_reports_violation():
 
 
 def test_batch_inverse_matches_scalar_packed():
+    # n = 11 is the largest size whose packed index fits in an int64
     rng = np.random.default_rng(20240817)
-    n = 8
-    idx = rng.integers(0, 1 << tri(n), size=2000, dtype=np.int64)
-    batch = invert_batch(n, idx)
-    for row in range(0, idx.size, 89):
-        scalar = invert_unit_lower(from_index(n, int(idx[row])))
-        assert np.array_equal(batch[row], np.array(scalar.entries))
+    for n in (8, 11):
+        idx = rng.integers(0, 1 << tri(n), size=2000, dtype=np.int64)
+        batch = invert_batch(n, idx)
+        for row in range(0, idx.size, 89):
+            scalar = invert_unit_lower(from_index(n, int(idx[row])))
+            assert np.array_equal(batch[row], np.array(scalar.entries))
 
 
 def test_batch_inverse_matches_scalar_bits():

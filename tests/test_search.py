@@ -116,13 +116,18 @@ def test_scan_block_refuses_sizes_beyond_exactness_bound():
 
 
 def test_exactness_guard_survives_optimize():
-    # python -O strips asserts; the 2^53 guard must still refuse n = 10
+    # python -O strips asserts; the 2^53 guard must still refuse n = 10,
+    # and the packed decoder n = 12, whose 66 bits overflow an int64
     code = (
+        "import numpy as np\n"
+        "from gramfloor.core import row_masks\n"
         "from gramfloor.search import scan_block\n"
-        "try:\n"
-        "    scan_block(10, 0, 16)\n"
-        "except ValueError:\n"
-        "    print('refused')\n"
+        "for call in (lambda: scan_block(10, 0, 16),\n"
+        "             lambda: row_masks(12, np.zeros(1, dtype=np.int64))):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError:\n"
+        "        print('refused')\n"
     )
     tree = str(Path(gramfloor.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -132,7 +137,7 @@ def test_exactness_guard_survives_optimize():
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "refused"
+    assert proc.stdout.split() == ["refused", "refused"]
 
 
 def test_scan_block_is_chunk_independent():
