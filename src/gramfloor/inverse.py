@@ -153,8 +153,9 @@ _GRAM_BATCH_N_MAX = 47
 def invert_batch(n: int, patterns: np.ndarray) -> np.ndarray:
     """Column-recurrence inverses for a whole batch of patterns.
 
-    Patterns are packed int64 indices (1-D, n <= 11, decoded by
-    core.row_masks) or bit rows (2-D, B x tri(n), in position order).
+    Patterns are packed int64 indices (1-D, n <= 11, each in [0,
+    2^tri(n)), decoded by core.row_masks) or bit rows (2-D, B x tri(n), in
+    position order).
     Returns (B, n, n) int64 matrices equal to invert_unit_lower on each
     pattern.  Bounded to n <= 90 so no entry can overflow int64.
     """
@@ -163,6 +164,9 @@ def invert_batch(n: int, patterns: np.ndarray) -> np.ndarray:
     patterns = np.asarray(patterns)
     if patterns.ndim == 1:
         masks = row_masks(n, patterns.astype(np.int64))
+        # row_masks decodes the low tri(n) bits of any int64 and checks none
+        if patterns.size and (patterns.min() < 0 or patterns.max() >= 1 << tri(n)):
+            raise ValueError(f"packed indices for n = {n} must lie in [0, 2^{tri(n)})")
         # bits 0 .. k-1 of row k's mask, one column per bit
         rows = [(masks[k, :, None] >> np.arange(k)) & 1 for k in range(n)]
     elif patterns.ndim == 2:

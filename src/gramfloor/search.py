@@ -39,18 +39,22 @@ returns, so a process holds no buffers after a scan; a pool worker keeps its
 own for every block it scans.
 
 A checkpoint holds the finished blocks as sorted [start, stop) runs of block
-ids.  Blocks finish close to the order they were handed out, so the runs
-stay few, and a save costs the same after the last block as after the
-first.  The driver saves at most once every _SAVE_EVERY seconds, and once
-more on every way out of the scan, so the file holds exactly the merged
-blocks whenever the scan stops; a hard kill loses at most the blocks merged
-since the last save, which a resume scans again.  The file records the
-Newton tolerance, always charpoly.NEWTON_TOL, and a file that records
-another one, from a build whose tolerance could be set, is refused.
+ids.  The driver merges block results in the order the blocks were handed
+out, so the finished blocks are always a leading run 0 .. done - 1: the file
+holds that one run, and a save costs the same after the last block as after
+the first.  A file from an older build may hold later runs too; a resume
+keeps only the leading run and scans every later block again.  The driver
+saves at most once every _SAVE_EVERY seconds, and once more on every way
+out of the scan, so the file holds the merged blocks whenever the scan
+stops; a hard kill loses at most the blocks merged since the last save,
+which a resume scans again.  The file records the Newton tolerance, always
+charpoly.NEWTON_TOL, and a file that records another one, from a build
+whose tolerance could be set, is refused.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -58,8 +62,7 @@ import signal
 import tempfile
 import threading
 import time
-from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -118,33 +121,12 @@ class SearchReport:
     blocks_completed: int
 
     def to_json(self, indent: int | None = None) -> str:
-        payload = {
-            "n": self.n,
-            "total_scanned": self.total_scanned,
-            "c_n_estimate": self.c_n_estimate,
-            "argmin_indices": list(self.argmin_indices),
-            "z0_value": self.z0_value,
-            "conjecture_holds": self.conjecture_holds,
-            "unique_argmin": self.unique_argmin,
-            "elapsed": self.elapsed,
-            "blocks_completed": self.blocks_completed,
-        }
-        return json.dumps(payload, indent=indent)
+        return json.dumps(dataclasses.asdict(self), indent=indent)
 
     @staticmethod
     def from_json(text: str) -> "SearchReport":
         d = json.loads(text)
-        return SearchReport(
-            n=d["n"],
-            total_scanned=d["total_scanned"],
-            c_n_estimate=d["c_n_estimate"],
-            argmin_indices=tuple(d["argmin_indices"]),
-            z0_value=d["z0_value"],
-            conjecture_holds=d["conjecture_holds"],
-            unique_argmin=d["unique_argmin"],
-            elapsed=d["elapsed"],
-            blocks_completed=d["blocks_completed"],
-        )
+        return SearchReport(**{**d, "argmin_indices": tuple(d["argmin_indices"])})
 
 
 @dataclass
@@ -152,7 +134,8 @@ class Checkpoint:
     """Resumable scan state; persisted as a small versioned JSON document.
 
     ``completed_runs`` holds the finished block ids as sorted, disjoint,
-    non-touching [start, stop) runs.
+    non-touching [start, stop) runs; this build writes at most one,
+    (0, done).
     """
 
     n: int
@@ -162,51 +145,6 @@ class Checkpoint:
     running_argmin_indices: tuple[int, ...]
     created: str
     updated: str
-
-    @property
-    def completed_block_ids(self) -> set[int]:
-        return {b for start, stop in self.completed_runs for b in range(start, stop)}
-
-
-class _Runs:
-    """A set of block ids kept as sorted, disjoint, non-touching runs.
-
-    Adding an id bisects the run starts, then extends, joins or inserts one
-    run, so no step walks every id.
-    """
-
-    def __init__(self, runs: tuple[tuple[int, int], ...] = ()) -> None:
-        self.starts = [start for start, _ in runs]
-        self.stops = [stop for _, stop in runs]
-        self.count = sum(self.stops) - sum(self.starts)
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __contains__(self, b: int) -> bool:
-        i = bisect_right(self.starts, b)
-        return i > 0 and b < self.stops[i - 1]
-
-    def add(self, b: int) -> None:
-        i = bisect_right(self.starts, b)
-        if i > 0 and b < self.stops[i - 1]:
-            return
-        extends = i > 0 and self.stops[i - 1] == b
-        precedes = i < len(self.starts) and self.starts[i] == b + 1
-        if extends and precedes:
-            self.stops[i - 1] = self.stops.pop(i)
-            del self.starts[i]
-        elif extends:
-            self.stops[i - 1] = b + 1
-        elif precedes:
-            self.starts[i] = b
-        else:
-            self.starts.insert(i, b)
-            self.stops.insert(i, b + 1)
-        self.count += 1
-
-    def runs(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(self.starts, self.stops))
 
 
 def y0_index(n: int) -> int:
@@ -471,10 +409,13 @@ def checkpoint_load(path: str) -> Checkpoint:
         )
     try:
         if version == "1":
-            ids = _Runs()
+            ids: list[list[int]] = []
             for b in sorted(set(d["completed_block_ids"])):
-                ids.add(b)
-            runs, tol = ids.runs(), NEWTON_TOL
+                if ids and ids[-1][1] == b:
+                    ids[-1][1] = b + 1
+                else:
+                    ids.append([b, b + 1])
+            runs, tol = tuple(map(tuple, ids)), NEWTON_TOL
         else:
             runs = tuple((start, stop) for start, stop in d["completed_runs"])
             tol = d["newton_tol"]
@@ -590,65 +531,60 @@ def exhaustive_min(
             )
             checkpoint_save(checkpoint_path, ck)
 
-    done = _Runs(ck.completed_runs if ck else ())
-    pending = [b for b in range(nblocks) if b not in done]
+    # the finished blocks are always the leading run 0 .. done - 1
+    runs = ck.completed_runs if ck else ()
+    done = saved = runs[0][1] if runs and runs[0][0] == 0 else 0
     state = EMPTY_PARTIAL
-    # the finished runs and the merged state, set together in one
-    # assignment after both are updated: an interrupt between the two
-    # updates must not reach the file as a block without its near-ties
-    committed = saved = None
     saved_at = time.monotonic()
 
     def save() -> None:
         nonlocal saved, saved_at
-        snapshot = committed
-        ck.completed_runs, merged = snapshot
-        ck.running_argmin_indices = tuple(i for i, _ in merged.candidates)
+        ck.completed_runs = ((0, done),)
+        ck.running_argmin_indices = tuple(i for i, _ in state.candidates)
         ck.updated = _now()
         checkpoint_save(checkpoint_path, ck)
-        saved, saved_at = snapshot, time.monotonic()
+        saved, saved_at = done, time.monotonic()
 
-    def note_done(block_id: int, result: PartialResult) -> None:
-        nonlocal state, committed
+    def note_done(result: PartialResult) -> None:
+        nonlocal state, done
         state = merge_partials(state, result)
-        done.add(block_id)
-        if ck is not None:
-            committed = (done.runs(), state)
-            if time.monotonic() - saved_at >= _SAVE_EVERY:
-                save()
+        done += 1
+        if ck is not None and time.monotonic() - saved_at >= _SAVE_EVERY:
+            save()
         if progress is not None:
-            progress(len(done), nblocks)
+            progress(done, nblocks)
 
     try:
         if ck is not None:
-            # the merged state of the finished blocks: their near-ties
-            # scanned again, and the patterns the runs cover
+            # the merged state of the leading run: its near-ties scanned
+            # again, and the patterns it covers.  Near-ties past it belong
+            # to blocks that are scanned again: those of a later run, in a
+            # file from an older build, or of a block merged but not yet
+            # counted when the file was saved
+            covered = blocks[done - 1][1] if done else 0
             for idx in ck.running_argmin_indices:
-                state = merge_partials(state, scan_block(n, idx, idx + 1))
-            done_count = sum(
-                blocks[stop - 1][1] - blocks[start][0] for start, stop in done.runs()
-            )
-            state = PartialResult(done_count, state.best, state.candidates)
+                if idx < covered:
+                    state = merge_partials(state, scan_block(n, idx, idx + 1))
+            state = PartialResult(covered, state.best, state.candidates)
         if workers == 1:
-            for b in pending:
-                start, stop = blocks[b]
-                note_done(b, scan_block(n, start, stop))
+            for start, stop in blocks[done:]:
+                note_done(scan_block(n, start, stop))
         else:
             # the workers ignore SIGINT: a Ctrl-C in a terminal signals the
             # whole process group, and a worker interrupted mid-block could
-            # leave the pool hung; the driver alone stops the scan
+            # leave the pool hung; the driver alone stops the scan.  The
+            # workers run ahead, but results merge in the order handed out
             with ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=signal.signal,
                 initargs=(signal.SIGINT, signal.SIG_IGN),
             ) as pool:
-                futs = {
-                    pool.submit(scan_block, n, blocks[b][0], blocks[b][1]): b
-                    for b in pending
-                }
+                futs = [
+                    pool.submit(scan_block, n, start, stop) for start, stop in blocks[done:]
+                ]
                 try:
-                    for fut in as_completed(futs):
-                        note_done(futs[fut], fut.result())
+                    for fut in futs:
+                        note_done(fut.result())
                 except BaseException:
                     # an aborted run must not scan the queued blocks.  The
                     # futures themselves are cancelled, because the pool's
@@ -665,10 +601,10 @@ def exhaustive_min(
                         fut.cancel()
                     raise
     finally:
-        # every way out leaves the file holding exactly the merged blocks,
-        # and this process holding no kernel buffers
+        # every way out leaves the file holding the merged blocks, and this
+        # process holding no kernel buffers
         _per_thread.workspace = None
-        if saved is not committed:
+        if ck is not None and done != saved:
             save()
 
     total = 1 << tri(n)
@@ -679,15 +615,14 @@ def exhaustive_min(
     argmin = _adjudicate(n, state.candidates)
     z0v = smallest_eigenvalue(gram(y0(n)))
     y0i = y0_index(n)
-    holds = abs(state.best - z0v) <= TIE_EPS and y0i in argmin
     return SearchReport(
         n=n,
         total_scanned=state.count,
         c_n_estimate=state.best,
         argmin_indices=argmin,
         z0_value=z0v,
-        conjecture_holds=holds,
+        conjecture_holds=y0i in argmin,
         unique_argmin=argmin == (y0i,),
         elapsed=time.perf_counter() - t0,
-        blocks_completed=len(done),
+        blocks_completed=done,
     )

@@ -148,3 +148,8 @@ def test_batch_rejects_oversized_inputs():
         invert_batch(91, np.zeros(1, dtype=np.int64))
     with pytest.raises(ValueError):
         gram_inverse_batch(48, np.zeros((1, tri(48)), dtype=np.int64))
+    # packed indices outside [0, 2^tri(3)) name no pattern of size 3
+    for bad in ([8], [-1]):
+        for batch in (invert_batch, gram_inverse_batch):
+            with pytest.raises(ValueError, match="must lie in"):
+                batch(3, np.array(bad, dtype=np.int64))

@@ -158,6 +158,16 @@ def test_report_json_round_trip():
     report = exhaustive_min(4)
     assert SearchReport.from_json(report.to_json()) == report
     assert SearchReport.from_json(report.to_json(indent=2)) == report
+    # the payload lists the fields in their declared order
+    fixed = SearchReport(3, 8, 0.25, (5,), 0.25, True, True, 1.5, 2)
+    text = (
+        '{"n": 3, "total_scanned": 8, "c_n_estimate": 0.25, "argmin_indices": [5], '
+        '"z0_value": 0.25, "conjecture_holds": true, "unique_argmin": true, '
+        '"elapsed": 1.5, "blocks_completed": 2}'
+    )
+    assert fixed.to_json() == text
+    assert fixed.to_json(indent=2) == json.dumps(json.loads(text), indent=2)
+    assert SearchReport.from_json(text) == fixed
 
 
 def test_size_validation():
@@ -220,7 +230,6 @@ def test_checkpoint_round_trip(tmp_path):
     checkpoint_save(path, ck)
     loaded = checkpoint_load(path)
     assert loaded == ck
-    assert loaded.completed_block_ids == {0, 3}
     assert json.loads(Path(path).read_text())["version"] == "2"
 
 
@@ -241,7 +250,7 @@ def test_n9_checkpoint_in_one_run_is_small(tmp_path):
     checkpoint_save(str(path), ck)
     assert path.stat().st_size < 1024
     assert checkpoint_load(str(path)) == ck
-    assert len(checkpoint_load(str(path)).completed_block_ids) == nblocks
+    assert checkpoint_load(str(path)).completed_runs == ((0, nblocks),)
 
     # resuming the finished scan scans nothing more and rewrites nothing
     report = exhaustive_min(9, checkpoint_path=str(path))
@@ -291,8 +300,7 @@ def test_interrupted_scan_resumes_identically(tmp_path):
 
     with pytest.raises(Interrupt):
         exhaustive_min(6, block_size=4096, checkpoint_path=path, progress=stop_after)
-    ck = checkpoint_load(path)
-    assert len(ck.completed_block_ids) == 3
+    assert checkpoint_load(path).completed_runs == ((0, 3),)
 
     resumed = exhaustive_min(6, block_size=4096, checkpoint_path=path)
     assert _without_timing(resumed) == baseline
@@ -319,7 +327,7 @@ def test_checkpoint_with_running_min_key_resumes_identically(tmp_path):
         "created": "2024-01-01T00:00:00",
         "updated": "2024-01-01T00:05:00",
     }))
-    assert checkpoint_load(str(path)).completed_block_ids == set(done)
+    assert checkpoint_load(str(path)).completed_runs == ((2, 3), (5, 6), (10, 12))
 
     resumed = exhaustive_min(5, block_size=64, checkpoint_path=str(path))
     assert _without_timing(resumed) == baseline
@@ -357,6 +365,40 @@ def test_version_one_checkpoint_resumes_at_default_tolerance(tmp_path):
     assert saved["completed_runs"] == [[0, len(blocks)]]
     assert saved["newton_tol"] == 1e-13
     assert "completed_block_ids" not in saved
+
+
+def test_checkpoint_with_later_runs_resumes_from_its_leading_run(tmp_path):
+    # an older build merged blocks as they finished, so its file can hold
+    # runs past the leading one: their blocks are scanned again, and their
+    # near-ties, Y0's among them, are not restored as well
+    path = tmp_path / "ck.json"
+    baseline = _without_timing(exhaustive_min(5, block_size=64))
+    blocks = partition(5, 64)
+    runs = [[0, 2], [10, 11]]
+    assert y0_index(5) // 64 == 10
+    state = EMPTY_PARTIAL
+    for b in (0, 1, 10):
+        state = merge_partials(state, scan_block(5, *blocks[b]))
+    near_ties = [i for i, _ in state.candidates]
+    assert y0_index(5) in near_ties
+    path.write_text(json.dumps({
+        "version": "2",
+        "n": 5,
+        "block_size": 64,
+        "newton_tol": 1e-13,
+        "completed_runs": runs,
+        "running_argmin_indices": near_ties,
+        "created": "2024-01-01T00:00:00",
+        "updated": "2024-01-01T00:05:00",
+    }))
+
+    seen = []
+    resumed = exhaustive_min(5, block_size=64, checkpoint_path=str(path),
+                             progress=lambda done, total: seen.append(done))
+    assert seen[0] == 3
+    assert resumed.argmin_indices == (y0_index(5),)
+    assert _without_timing(resumed) == baseline
+    assert json.loads(path.read_text())["completed_runs"] == [[0, len(blocks)]]
 
 
 @pytest.mark.parametrize("runs", [
@@ -411,7 +453,7 @@ def test_interrupted_pool_scan_resumes_identically(tmp_path):
         exhaustive_min(
             6, workers=2, block_size=4096, checkpoint_path=path, progress=stop_after
         )
-    assert len(checkpoint_load(path).completed_block_ids) == 3
+    assert checkpoint_load(path).completed_runs == ((0, 3),)
 
     resumed = exhaustive_min(6, workers=2, block_size=4096, checkpoint_path=path)
     assert _without_timing(resumed) == baseline
@@ -497,39 +539,23 @@ def _failing_scan_block(n, start, stop, *args):
 def test_killed_scan_leaves_its_merged_blocks_and_resumes(
     tmp_path, monkeypatch, workers, save_every
 ):
-    # stopped by its progress callback, by an interrupt, by a failing
-    # block or by an interrupt between merging a block and noting it, a
-    # scan leaves exactly the blocks it noted in the checkpoint, whether it
-    # saved after every block or not since it started, and the resume
-    # reports what an uninterrupted scan does
+    # stopped by its progress callback after k blocks, by an interrupt or
+    # by a failing block k, a scan leaves exactly blocks 0 .. k - 1 in the
+    # checkpoint, whether it saved after every block or not since it
+    # started, and the resume reports what an uninterrupted scan does
     n, block_size = 6, 1 << 9
     blocks = partition(n, block_size)
-    y0_block = y0_index(n) // block_size
     baseline = _without_timing(exhaustive_min(n, block_size=block_size))
     path = tmp_path / "ck.json"
-    noted = []
-    torn_at = [-1]
-    real_add = search._Runs.add
-
-    def noting_add(runs, b):
-        if b == torn_at[0]:
-            raise KeyboardInterrupt
-        real_add(runs, b)
-        noted.append(b)
-
-    monkeypatch.setattr(search._Runs, "add", noting_add)
     monkeypatch.setattr(search, "_SAVE_EVERY", save_every)
     monkeypatch.setattr(search, "scan_block", _failing_scan_block)
     rng = random.Random(101 + workers)
     stops = [(k, _Stop) for k in rng.sample(range(1, len(blocks)), 3)]
     stops.append((rng.randrange(1, len(blocks)), KeyboardInterrupt))
     stops.append((rng.randrange(1, len(blocks)), "failing block"))
-    # Y0's block carries the near-ties that a torn note must not save
-    stops.append((y0_block, "torn note"))
     for k, how in stops:
         fail_at = blocks[k][0] if how == "failing block" else -1
         monkeypatch.setenv("GRAMFLOOR_TEST_FAIL_AT", str(fail_at))
-        torn_at[0] = k if how == "torn note" else -1
 
         def stop_at(done, total):
             if done == k and how in (_Stop, KeyboardInterrupt):
@@ -537,25 +563,18 @@ def test_killed_scan_leaves_its_merged_blocks_and_resumes(
 
         if path.exists():
             path.unlink()
-        noted.clear()
         with pytest.raises((_Stop, KeyboardInterrupt)):
             exhaustive_min(n, workers=workers, block_size=block_size,
                            checkpoint_path=str(path), progress=stop_at)
         assert getattr(search._per_thread, "workspace", None) is None
-        assert checkpoint_load(str(path)).completed_block_ids == set(noted), (k, how)
-        if how in (_Stop, KeyboardInterrupt):
-            assert len(noted) == k
-        else:
-            assert k not in noted
-        first = len(noted) + 1
+        assert checkpoint_load(str(path)).completed_runs == ((0, k),), (k, how)
 
         monkeypatch.setenv("GRAMFLOOR_TEST_FAIL_AT", "-1")
-        torn_at[0] = -1
         seen = []
         resumed = exhaustive_min(n, workers=workers, block_size=block_size,
                                  checkpoint_path=str(path),
                                  progress=lambda done, total: seen.append(done))
-        assert seen[0] == first, (k, how)
+        assert seen[0] == k + 1, (k, how)
         assert _without_timing(resumed) == baseline, (k, how)
 
 
