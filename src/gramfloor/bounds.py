@@ -15,7 +15,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .charpoly import jacobi_eigenvalues, smallest_eigenvalue
 from .core import IntegerMatrix, gram, mat_mul, mat_transpose, y0
@@ -229,16 +229,12 @@ def floor_value(n: int) -> float:
 _SLACK = 1e-9
 
 
-def hong_loewy_check(
-    s: Sequence[int], eps: float, c_n: Optional[float] = None
-) -> HongLoewyResult:
-    """Least eigenvalue of the power GCD matrix against c_n * min J_eps."""
+def hong_loewy_check(s: Sequence[int], eps: float) -> HongLoewyResult:
+    """Least eigenvalue of the power GCD matrix against c_n * min J_eps,
+    with c_n = ``floor_value(len(s))``."""
     spec = power_gcd_matrix(s, eps)
-    n = len(spec.s)
-    if c_n is None:
-        c_n = floor_value(n)
     lam = min(jacobi_eigenvalues([[float(v) for v in row] for row in spec.entries]))
-    bound = c_n * min(jordan_totient(x, eps) for x in spec.s)
+    bound = floor_value(len(spec.s)) * min(jordan_totient(x, eps) for x in spec.s)
     holds = lam >= bound - _SLACK * max(1.0, abs(bound))
     return HongLoewyResult(lam, bound, holds)
 

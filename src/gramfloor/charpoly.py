@@ -15,9 +15,8 @@ residual sinks under the float64 noise floor, and gives up after NEWTON_CAP
 steps.  The batched walk in search follows the same rule, so a value has
 the same bits whichever walk computes it.
 
-Two independent cross-checks live here as well: the Faddeev-LeVerrier
-recursion for the same coefficients, and a dependency-free cyclic Jacobi
-eigensolver plus a power-iteration spectral radius for float comparison.
+A dependency-free cyclic Jacobi eigensolver gives all eigenvalues in
+float64 for the GCD-matrix and divisor-matrix checks in bounds.
 
 Near-ties between candidate minima are settled exactly: integer
 characteristic polynomials are compared through Sturm-chain root counting
@@ -46,6 +45,9 @@ _BACKSTEP = math.sqrt(_EPS)
 # the stopping rule of every Newton walk: relative step size, step budget
 NEWTON_TOL = 1e-13
 NEWTON_CAP = 500
+# the stopping rule of the Jacobi sweeps: off-diagonal mass, sweep budget
+JACOBI_TOL = 1e-12
+JACOBI_SWEEPS = 100
 
 
 class ConvergenceError(RuntimeError):
@@ -123,36 +125,6 @@ def newton_identities(ps: PowerSums) -> CharPoly:
     return CharPoly(n, tuple(e[1:]))
 
 
-def faddeev_leverrier(m: IntegerMatrix | GramMatrix) -> CharPoly:
-    """Same coefficients by the Faddeev-LeVerrier recursion, independently.
-
-    M_k = A M_{k-1} + c_{n-k+1} I with c_n = 1 and c_{n-k} = -trace(A M_k)/k;
-    then e_j = (-1)^j c_{n-j}.  Divisions are exact and checked.
-    """
-    n = m.n
-    c = [0] * (n + 1)
-    c[n] = 1
-    t = None
-    for k in range(1, n + 1):
-        if t is None:
-            mk = tuple(
-                tuple(c[n] if i == j else 0 for j in range(n)) for i in range(n)
-            )
-        else:
-            shift = c[n - k + 1]
-            mk = tuple(
-                tuple(t.entries[i][j] + (shift if i == j else 0) for j in range(n))
-                for i in range(n)
-            )
-        t = mat_mul(m, IntegerMatrix(n, mk))
-        q, r = divmod(-mat_trace(t), k)
-        if r:
-            raise ArithmeticError(f"Faddeev-LeVerrier division not exact at k={k}")
-        c[n - k] = q
-    e = tuple(c[n - j] if j % 2 == 0 else -c[n - j] for j in range(1, n + 1))
-    return CharPoly(n, e)
-
-
 def _float_coeffs(cp: CharPoly) -> list[float]:
     """Monic descending float coefficients [1, -e_1, e_2, ...]."""
     coeffs = [1.0]
@@ -223,7 +195,7 @@ def smallest_eigenvalue(z: GramMatrix | IntegerMatrix) -> float:
     return smallest_root_newton(newton_identities(power_sums(z)))
 
 
-# -- float cross-checks ----------------------------------------------------
+# -- float eigenvalues of a symmetric matrix ---------------------------------
 
 
 def _as_float_array(m) -> np.ndarray:
@@ -235,70 +207,13 @@ def _as_float_array(m) -> np.ndarray:
     return a
 
 
-def spectral_radius_power_iteration(
-    m, tol: float = 1e-10, max_iter: int = 200_000
-) -> float:
-    """Spectral radius by power iteration.
-
-    Symmetric input converges through the Rayleigh quotient with a residual
-    stop; the dominant eigenvalue in modulus is then the spectral radius for
-    our uses (positive semidefinite or entrywise nonnegative symmetric).
-    Non-symmetric input must be entrywise nonnegative; there the iteration
-    runs on M + I (same eigenvectors, radius shifted by one, and the unit
-    diagonal keeps iterates strictly positive) and brackets the radius with
-    the classical min/max iterate ratios.
-    """
-    a = _as_float_array(m)
-    n = a.shape[0]
-    if n == 1:
-        return abs(float(a[0, 0]))
-    symmetric = np.array_equal(a, a.T)
-    if symmetric:
-        best = 0.0
-        # two deterministic starts guard against an unlucky orthogonal one
-        starts = (np.ones(n), np.cos(np.arange(1, n + 1)))
-        for x0 in starts:
-            x = x0 / np.linalg.norm(x0)
-            lam = 0.0
-            for _ in range(max_iter):
-                y = a @ x
-                lam = float(x @ y)
-                if np.linalg.norm(y - lam * x) <= tol * max(abs(lam), 1e-300):
-                    break
-                ny = np.linalg.norm(y)
-                if ny == 0.0:
-                    lam = 0.0
-                    break
-                x = y / ny
-            else:
-                raise ConvergenceError(
-                    f"power iteration did not settle in {max_iter} steps"
-                )
-            best = max(best, abs(lam))
-        return best
-    if a.min() < 0:
-        raise ValueError("non-symmetric input must be entrywise nonnegative")
-    b = a + np.eye(n)
-    x = np.ones(n)
-    for _ in range(max_iter):
-        y = b @ x
-        ratios = y / x
-        hi = float(ratios.max())
-        lo = float(ratios.min())
-        if hi - lo <= tol * hi:
-            return (lo + hi) / 2.0 - 1.0
-        x = y / np.linalg.norm(y)
-    raise ConvergenceError(f"ratio bracket did not close in {max_iter} steps")
-
-
-def jacobi_eigenvalues(
-    m, tol: float = 1e-12, max_sweeps: int = 100
-) -> list[float]:
+def jacobi_eigenvalues(m) -> list[float]:
     """All eigenvalues of a symmetric matrix by cyclic-by-row Jacobi sweeps.
 
     Plain rotations, no library eigensolver behind it; sweeps stop once the
-    off-diagonal Frobenius mass is at most tol, scaled by the matrix norm
-    when that norm exceeds one.  Ascending order.
+    off-diagonal Frobenius mass is at most JACOBI_TOL, scaled by the matrix
+    norm when that norm exceeds one, and give up after JACOBI_SWEEPS.
+    Ascending order.
     """
     a = _as_float_array(m).copy()
     n = a.shape[0]
@@ -308,14 +223,14 @@ def jacobi_eigenvalues(
         return [float(a[0, 0])]
     # summing the squared off-diagonal part directly avoids the cancellation
     # that |A|_F^2 - |diag|^2 suffers once the norms dwarf the residual
-    goal = tol * max(1.0, math.sqrt(float(np.sum(a * a))))
+    goal = JACOBI_TOL * max(1.0, math.sqrt(float(np.sum(a * a))))
 
     def off_mass() -> float:
         mask = a.copy()
         np.fill_diagonal(mask, 0.0)
         return math.sqrt(float(np.sum(mask * mask)))
 
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_SWEEPS):
         if off_mass() <= goal:
             return sorted(float(v) for v in np.diag(a))
         for p in range(n - 1):
@@ -338,7 +253,7 @@ def jacobi_eigenvalues(
     off = off_mass()
     if off <= goal:
         return sorted(float(v) for v in np.diag(a))
-    raise ConvergenceError(f"off-diagonal mass {off} after {max_sweeps} sweeps")
+    raise ConvergenceError(f"off-diagonal mass {off} after {JACOBI_SWEEPS} sweeps")
 
 
 # -- exact comparison of least roots ----------------------------------------

@@ -18,7 +18,6 @@ from __future__ import annotations
 from .core import (
     GramMatrix,
     IntegerMatrix,
-    LowerUnitMatrix,
     gram_factor,
     mat_abs,
     mat_mul,
@@ -90,17 +89,14 @@ def sign_pattern_check(m: IntegerMatrix) -> bool:
     return True
 
 
-def domination_check(z: GramMatrix, reference: IntegerMatrix | None = None) -> BoundWitness:
+def domination_check(z: GramMatrix) -> BoundWitness:
     """Check |Z^-1| <= |Z0^-1| entrywise, exactly.
 
     Z^-1 is computed through the integer Gram-inverse path (the generating
-    pattern is recovered from Z first), never by floating inversion.  Pass
-    ``reference`` to reuse a precomputed |Z0^-1| across many checks.
+    pattern is recovered from Z first), never by floating inversion.
     """
     n = z.n
-    ref = reference if reference is not None else mat_abs(z0_inverse_closed(n))
-    if ref.n != n:
-        raise ValueError(f"reference size {ref.n} does not match n={n}")
+    ref = mat_abs(z0_inverse_closed(n))
     zi = gram_inverse(gram_factor(z))
     for i in range(n):
         for j in range(n):

@@ -1,18 +1,15 @@
 """Exact inverses of unit lower-triangular (0,1)-matrices.
 
 Write Y = I + N with N strictly lower.  The inverse A = Y^-1 is again unit
-lower-triangular with integer entries and is computed two independent ways:
-
-  * a column recurrence, a_kl = -sum_{i=l}^{k-1} n_ki a_il for k > l, which
-    walks each column top to bottom touching only rows where Y has a one;
-  * the terminating series I - N + N^2 - ... +- N^(n-1), which exists because
-    N is nilpotent of index at most n.
+lower-triangular with integer entries and is computed by a column
+recurrence, a_kl = -sum_{i=l}^{k-1} n_ki a_il for k > l, which walks each
+column top to bottom touching only rows where Y has a one.
 
 Off-diagonal inverse entries obey |a_ij| <= F_{i-j} (Fibonacci numbers with
 F_1 = F_2 = 1), and the bound is checkable entrywise.  The Gram inverse
 (Y Y^T)^-1 = A^T A is assembled from A without ever inverting a float.
 
-The ``*_batch`` helpers vectorize the same recurrences over many patterns
+The ``*_batch`` helpers vectorize the same recurrence over many patterns
 at once in int64; they exist for bulk scans and are equivalence tested
 against the scalar paths.  Patterns are read a row at a time, as the
 scalar recurrence reads them: packed indices through core.row_masks, bit
@@ -28,14 +25,11 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    GramMatrix,
     IntegerMatrix,
     LowerUnitMatrix,
-    mat_identity,
     mat_mul,
     mat_transpose,
     row_masks,
-    to_dense,
     tri,
 )
 
@@ -66,56 +60,6 @@ def invert_unit_lower(y: LowerUnitMatrix) -> IntegerMatrix:
         for l in range(k):
             a[k][l] = -sum(a[i][l] for i in ones if i >= l)
     return IntegerMatrix(n, tuple(tuple(r) for r in a))
-
-
-def _strict_lower(y: LowerUnitMatrix) -> IntegerMatrix:
-    """N = Y - I, the strictly lower part of a pattern."""
-    rows = to_dense(y).entries
-    return IntegerMatrix(
-        y.n,
-        tuple(tuple(v - (i == j) for j, v in enumerate(row)) for i, row in enumerate(rows)),
-    )
-
-
-def invert_via_nilpotent(y: LowerUnitMatrix) -> IntegerMatrix:
-    """Independent oracle: alternating sum of powers of the strict lower part."""
-    n = y.n
-    nil = _strict_lower(y)
-    acc = mat_identity(n)
-    term = mat_identity(n)
-    sign = 1
-    for _ in range(1, n):
-        term = mat_mul(term, nil)
-        sign = -sign
-        acc = IntegerMatrix(
-            n,
-            tuple(
-                tuple(av + sign * tv for av, tv in zip(arow, trow))
-                for arow, trow in zip(acc.entries, term.entries)
-            ),
-        )
-    return acc
-
-
-def nilpotent_band_check(y: LowerUnitMatrix, k: int) -> bool:
-    """True when N^k vanishes on the band i - j < k (N the strict lower part).
-
-    Holds for every unit lower pattern and every k >= 0; exposed as a
-    predicate so the structure is testable rather than assumed.
-    """
-    if k < 0:
-        raise ValueError(f"power must be nonnegative, got {k}")
-    n = y.n
-    nil = _strict_lower(y)
-    power = mat_identity(n)
-    for _ in range(k):
-        power = mat_mul(power, nil)
-    return all(
-        power.entries[i][j] == 0
-        for i in range(n)
-        for j in range(n)
-        if i - j < k
-    )
 
 
 def fibonacci_bound_holds(a: IntegerMatrix) -> BoundWitness:

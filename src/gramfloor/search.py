@@ -50,11 +50,25 @@ stops; a hard kill loses at most the blocks merged since the last save,
 which a resume scans again.  The file records the Newton tolerance, always
 charpoly.NEWTON_TOL, and a file that records another one, from a build
 whose tolerance could be set, is refused.
+
+exhaustive_min runs one loop over the blocks for every worker count,
+through map, or with workers > 1 through the map of a process pool whose
+workers ignore SIGINT: a Ctrl-C in a terminal signals the whole process
+group, and a worker interrupted mid-block could leave the pool hung, so
+the main process alone stops the scan.  Both maps yield block results in the order the
+blocks were handed out, however far the workers run ahead.  On an abort
+the for statement drops the pool's result iterator, whose cleanup cancels
+every block still waiting; only those already in the workers' call queue,
+at most workers + 1, still run, and are discarded while the pool closes.
+So no other name may hold that iterator: while one does, the waiting
+blocks stay queued, and every one of them runs before the pool closes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -140,7 +154,6 @@ class Checkpoint:
 
     n: int
     block_size: int
-    newton_tol: float
     completed_runs: tuple[tuple[int, int], ...]
     running_argmin_indices: tuple[int, ...]
     created: str
@@ -353,7 +366,7 @@ def scan_block(n: int, start: int, stop: int) -> PartialResult:
             cands = [c for c in cands if c[1] <= best + TIE_EPS]
         sel = np.flatnonzero(vals <= best + TIE_EPS)
         cands.extend((int(idx[i]), float(vals[i])) for i in sel)
-    return PartialResult(count, best, tuple(sorted(cands)))
+    return PartialResult(count, best, tuple(cands))
 
 
 def merge_partials(a: PartialResult, b: PartialResult) -> PartialResult:
@@ -374,7 +387,7 @@ def checkpoint_save(path: str, ck: Checkpoint) -> None:
         "version": CHECKPOINT_VERSION,
         "n": ck.n,
         "block_size": ck.block_size,
-        "newton_tol": ck.newton_tol,
+        "newton_tol": NEWTON_TOL,
         "completed_runs": ck.completed_runs,
         "running_argmin_indices": ck.running_argmin_indices,
         "created": ck.created,
@@ -396,7 +409,8 @@ def checkpoint_save(path: str, ck: Checkpoint) -> None:
 def checkpoint_load(path: str) -> Checkpoint:
     """Read a checkpoint; a version "1" file, a list of block ids written
     before runs and the tolerance were recorded, loads as at NEWTON_TOL and
-    is written back as the current version."""
+    is written back as the current version.  A version "2" file that
+    records another tolerance holds values of another c_n and is refused."""
     try:
         with open(path) as fh:
             d = json.load(fh)
@@ -407,6 +421,10 @@ def checkpoint_load(path: str) -> Checkpoint:
         raise CheckpointError(
             f"checkpoint version {version!r} does not match {CHECKPOINT_VERSION!r}"
         )
+    if version == CHECKPOINT_VERSION and d.get("newton_tol") != NEWTON_TOL:
+        raise CheckpointError(
+            f"checkpoint Newton tolerance {d.get('newton_tol')!r} does not match {NEWTON_TOL!r}"
+        )
     try:
         if version == "1":
             ids: list[list[int]] = []
@@ -415,14 +433,12 @@ def checkpoint_load(path: str) -> Checkpoint:
                     ids[-1][1] = b + 1
                 else:
                     ids.append([b, b + 1])
-            runs, tol = tuple(map(tuple, ids)), NEWTON_TOL
+            runs = tuple(map(tuple, ids))
         else:
             runs = tuple((start, stop) for start, stop in d["completed_runs"])
-            tol = d["newton_tol"]
         return Checkpoint(
             n=d["n"],
             block_size=d["block_size"],
-            newton_tol=tol,
             completed_runs=runs,
             running_argmin_indices=tuple(d["running_argmin_indices"]),
             created=d["created"],
@@ -438,10 +454,6 @@ def _validate_checkpoint(ck: Checkpoint, n: int, block_size: int, nblocks: int) 
     if ck.block_size != block_size:
         raise CheckpointError(
             f"checkpoint block size {ck.block_size} does not match {block_size}"
-        )
-    if ck.newton_tol != NEWTON_TOL:
-        raise CheckpointError(
-            f"checkpoint Newton tolerance {ck.newton_tol!r} does not match {NEWTON_TOL!r}"
         )
     # runs in canonical form read a0 < b0 < a1 < b1 < ... within [0, nblocks]
     edges = [v for run in ck.completed_runs for v in run]
@@ -480,7 +492,7 @@ def _adjudicate(n: int, candidates: Iterable[tuple[int, float]]) -> tuple[int, .
         if best_poly is None:
             best, best_poly = [idx], poly
             continue
-        order = 0 if poly.e == best_poly.e else compare_smallest_roots(poly, best_poly)
+        order = compare_smallest_roots(poly, best_poly)
         if order < 0:
             best, best_poly = [idx], poly
         elif order == 0:
@@ -523,7 +535,6 @@ def exhaustive_min(
             ck = Checkpoint(
                 n=n,
                 block_size=block_size,
-                newton_tol=NEWTON_TOL,
                 completed_runs=(),
                 running_argmin_indices=(),
                 created=_now(),
@@ -566,40 +577,23 @@ def exhaustive_min(
                 if idx < covered:
                     state = merge_partials(state, scan_block(n, idx, idx + 1))
             state = PartialResult(covered, state.best, state.candidates)
-        if workers == 1:
-            for start, stop in blocks[done:]:
-                note_done(scan_block(n, start, stop))
-        else:
-            # the workers ignore SIGINT: a Ctrl-C in a terminal signals the
-            # whole process group, and a worker interrupted mid-block could
-            # leave the pool hung; the driver alone stops the scan.  The
-            # workers run ahead, but results merge in the order handed out
-            with ProcessPoolExecutor(
+        # one loop for every worker count; the module notes say why no name
+        # may hold the iterator that map returns
+        with (
+            ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=signal.signal,
                 initargs=(signal.SIGINT, signal.SIG_IGN),
-            ) as pool:
-                futs = [
-                    pool.submit(scan_block, n, start, stop) for start, stop in blocks[done:]
-                ]
-                try:
-                    for fut in futs:
-                        note_done(fut.result())
-                except BaseException:
-                    # an aborted run must not scan the queued blocks.  The
-                    # futures themselves are cancelled, because the pool's
-                    # shutdown(cancel_futures=True) flag is reset by the
-                    # second shutdown() that leaving this block makes.
-                    # cancel() cannot stop the blocks already handed to a
-                    # worker, nor the up to workers + 1 more that the
-                    # executor's call queue holds: their futures are
-                    # already running, so they still finish and are
-                    # discarded while this exit waits.  The bounded
-                    # submission window planned in ROADMAP.md caps
-                    # how many blocks can be in flight.
-                    for fut in futs:
-                        fut.cancel()
-                    raise
+            )
+            if workers > 1
+            else contextlib.nullcontext()
+        ) as pool:
+            starts = [start for start, _ in blocks[done:]]
+            stops = [stop for _, stop in blocks[done:]]
+            for result in (pool.map if pool else map)(
+                scan_block, itertools.repeat(n), starts, stops
+            ):
+                note_done(result)
     finally:
         # every way out leaves the file holding the merged blocks, and this
         # process holding no kernel buffers

@@ -1,0 +1,164 @@
+"""Second routes to results the package computes one way, for tests only.
+
+Each oracle reaches the same answer as a package function by another
+method, so agreement between the two is evidence for both:
+
+  * faddeev_leverrier: the characteristic polynomial by the
+    Faddeev-LeVerrier recursion, against charpoly.newton_identities;
+  * spectral_radius_power_iteration: the spectral radius by power
+    iteration, against the least eigenvalue through the reciprocal law;
+  * invert_via_nilpotent: the inverse of a pattern as the terminating
+    series I - N + N^2 - ..., against inverse.invert_unit_lower;
+  * nilpotent_band_check: N^k vanishes on the band i - j < k, the
+    structure that makes that series terminate.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from gramfloor.charpoly import CharPoly, ConvergenceError, _as_float_array
+from gramfloor.core import (
+    GramMatrix,
+    IntegerMatrix,
+    LowerUnitMatrix,
+    mat_identity,
+    mat_mul,
+    mat_trace,
+    to_dense,
+)
+
+
+def faddeev_leverrier(m: IntegerMatrix | GramMatrix) -> CharPoly:
+    """Same coefficients as newton_identities, by the Faddeev-LeVerrier recursion.
+
+    M_k = A M_{k-1} + c_{n-k+1} I with c_n = 1 and c_{n-k} = -trace(A M_k)/k;
+    then e_j = (-1)^j c_{n-j}.  Divisions are exact and checked.
+    """
+    n = m.n
+    c = [0] * (n + 1)
+    c[n] = 1
+    t = None
+    for k in range(1, n + 1):
+        if t is None:
+            mk = tuple(
+                tuple(c[n] if i == j else 0 for j in range(n)) for i in range(n)
+            )
+        else:
+            shift = c[n - k + 1]
+            mk = tuple(
+                tuple(t.entries[i][j] + (shift if i == j else 0) for j in range(n))
+                for i in range(n)
+            )
+        t = mat_mul(m, IntegerMatrix(n, mk))
+        q, r = divmod(-mat_trace(t), k)
+        if r:
+            raise ArithmeticError(f"Faddeev-LeVerrier division not exact at k={k}")
+        c[n - k] = q
+    e = tuple(c[n - j] if j % 2 == 0 else -c[n - j] for j in range(1, n + 1))
+    return CharPoly(n, e)
+
+
+def spectral_radius_power_iteration(
+    m, tol: float = 1e-10, max_iter: int = 200_000
+) -> float:
+    """Spectral radius by power iteration.
+
+    Symmetric input converges through the Rayleigh quotient with a residual
+    stop; the dominant eigenvalue in modulus is then the spectral radius for
+    the matrices tested (positive semidefinite or entrywise nonnegative
+    symmetric).  Non-symmetric input must be entrywise nonnegative; there
+    the iteration runs on M + I (same eigenvectors, radius shifted by one,
+    and the unit diagonal keeps iterates strictly positive) and brackets the
+    radius with the classical min/max iterate ratios.
+    """
+    a = _as_float_array(m)
+    n = a.shape[0]
+    if n == 1:
+        return abs(float(a[0, 0]))
+    symmetric = np.array_equal(a, a.T)
+    if symmetric:
+        best = 0.0
+        # two deterministic starts guard against an unlucky orthogonal one
+        starts = (np.ones(n), np.cos(np.arange(1, n + 1)))
+        for x0 in starts:
+            x = x0 / np.linalg.norm(x0)
+            lam = 0.0
+            for _ in range(max_iter):
+                y = a @ x
+                lam = float(x @ y)
+                if np.linalg.norm(y - lam * x) <= tol * max(abs(lam), 1e-300):
+                    break
+                ny = np.linalg.norm(y)
+                if ny == 0.0:
+                    lam = 0.0
+                    break
+                x = y / ny
+            else:
+                raise ConvergenceError(
+                    f"power iteration did not settle in {max_iter} steps"
+                )
+            best = max(best, abs(lam))
+        return best
+    if a.min() < 0:
+        raise ValueError("non-symmetric input must be entrywise nonnegative")
+    b = a + np.eye(n)
+    x = np.ones(n)
+    for _ in range(max_iter):
+        y = b @ x
+        ratios = y / x
+        hi = float(ratios.max())
+        lo = float(ratios.min())
+        if hi - lo <= tol * hi:
+            return (lo + hi) / 2.0 - 1.0
+        x = y / np.linalg.norm(y)
+    raise ConvergenceError(f"ratio bracket did not close in {max_iter} steps")
+
+
+def _strict_lower(y: LowerUnitMatrix) -> IntegerMatrix:
+    """N = Y - I, the strictly lower part of a pattern."""
+    rows = to_dense(y).entries
+    return IntegerMatrix(
+        y.n,
+        tuple(tuple(v - (i == j) for j, v in enumerate(row)) for i, row in enumerate(rows)),
+    )
+
+
+def invert_via_nilpotent(y: LowerUnitMatrix) -> IntegerMatrix:
+    """Y^-1 as the alternating sum of powers of the strict lower part."""
+    n = y.n
+    nil = _strict_lower(y)
+    acc = mat_identity(n)
+    term = mat_identity(n)
+    sign = 1
+    for _ in range(1, n):
+        term = mat_mul(term, nil)
+        sign = -sign
+        acc = IntegerMatrix(
+            n,
+            tuple(
+                tuple(av + sign * tv for av, tv in zip(arow, trow))
+                for arow, trow in zip(acc.entries, term.entries)
+            ),
+        )
+    return acc
+
+
+def nilpotent_band_check(y: LowerUnitMatrix, k: int) -> bool:
+    """True when N^k vanishes on the band i - j < k (N the strict lower part).
+
+    Holds for every unit lower pattern and every k >= 0.
+    """
+    if k < 0:
+        raise ValueError(f"power must be nonnegative, got {k}")
+    n = y.n
+    nil = _strict_lower(y)
+    power = mat_identity(n)
+    for _ in range(k):
+        power = mat_mul(power, nil)
+    return all(
+        power.entries[i][j] == 0
+        for i in range(n)
+        for j in range(n)
+        if i - j < k
+    )

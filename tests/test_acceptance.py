@@ -20,12 +20,10 @@ from gramfloor.bounds import (
     smith_determinant_check,
 )
 from gramfloor.charpoly import (
-    faddeev_leverrier,
     jacobi_eigenvalues,
     newton_identities,
     power_sums,
     smallest_eigenvalue,
-    spectral_radius_power_iteration,
 )
 from gramfloor.cli import main
 from gramfloor.core import from_index, gram, mat_identity, mat_mul, to_dense, tri, y0
@@ -44,6 +42,7 @@ from gramfloor.inverse import (
     invert_unit_lower,
 )
 from gramfloor.search import checkpoint_load, exhaustive_min, y0_index
+from oracles import faddeev_leverrier, spectral_radius_power_iteration
 
 
 def _without_timing(report) -> dict:

@@ -161,12 +161,6 @@ def test_hong_loewy_frozen_example():
     assert result.bound == pytest.approx(0.19806226419516174)
 
 
-def test_hong_loewy_supplied_floor():
-    result = hong_loewy_check([1, 2, 3], 1, c_n=0.01)
-    assert result.bound == pytest.approx(0.01)
-    assert result.holds
-
-
 def test_hong_loewy_sampled_sets():
     for s in ([2, 4, 6, 8], [3, 5, 7], [1, 4, 9, 16], [2, 3, 5, 7, 8]):
         for eps in (1, 2):

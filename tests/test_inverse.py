@@ -13,9 +13,8 @@ from gramfloor.inverse import (
     gram_inverse_batch,
     invert_batch,
     invert_unit_lower,
-    invert_via_nilpotent,
-    nilpotent_band_check,
 )
+from oracles import invert_via_nilpotent, nilpotent_band_check
 
 
 def test_full_ones_inverse_frozen():

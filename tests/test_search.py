@@ -221,7 +221,6 @@ def test_checkpoint_round_trip(tmp_path):
     ck = Checkpoint(
         n=5,
         block_size=128,
-        newton_tol=1e-13,
         completed_runs=((0, 1), (3, 4)),
         running_argmin_indices=(17,),
         created="2024-01-01T00:00:00",
@@ -241,7 +240,6 @@ def test_n9_checkpoint_in_one_run_is_small(tmp_path):
     ck = Checkpoint(
         n=9,
         block_size=DEFAULT_BLOCK_SIZE,
-        newton_tol=1e-13,
         completed_runs=((0, nblocks),),
         running_argmin_indices=(y0_index(9),),
         created="2024-01-01T00:00:00",
@@ -283,6 +281,8 @@ def test_checkpoint_rejects_parameter_mismatch(tmp_path):
     assert saved["newton_tol"] == 1e-13
     saved["newton_tol"] = 1e-12
     Path(path).write_text(json.dumps(saved))
+    with pytest.raises(CheckpointError, match="tolerance"):
+        checkpoint_load(path)
     with pytest.raises(CheckpointError, match="tolerance"):
         exhaustive_min(5, block_size=128, checkpoint_path=path)
 
@@ -356,7 +356,6 @@ def test_version_one_checkpoint_resumes_at_default_tolerance(tmp_path):
     }))
     loaded = checkpoint_load(str(path))
     assert loaded.completed_runs == ((0, 2), (3, 4), (7, 8), (10, 11))
-    assert loaded.newton_tol == 1e-13
 
     resumed = exhaustive_min(5, block_size=64, checkpoint_path=str(path))
     assert _without_timing(resumed) == baseline
