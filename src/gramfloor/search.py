@@ -4,7 +4,9 @@ The index space of size-n patterns is split into contiguous blocks; each
 block is scanned by a vectorized kernel that reproduces the scalar pipeline
 (exact power sums, Newton identities, monotone Newton root) elementwise, so
 the value computed for an index never depends on which block or chunk it
-landed in.  Block results carry the block minimum plus every index whose
+landed in.  A Cholesky prefilter sends only the patterns that can reach the
+block minimum through that pipeline, and returns what valuing every pattern
+would.  Block results carry the block minimum plus every index whose
 value sits within TIE_EPS of it; merging keeps the global minimum and the
 surviving near-ties, and is associative and commutative, which is what makes
 worker count and completion order irrelevant to the result.
@@ -26,6 +28,43 @@ in int64, where the same bound keeps every partial sum under 2^63.  The
 Newton identities and the Newton walk run on one row per coefficient,
 elementwise in the same order as the scalar pipeline, so every value is bit
 for bit the scalar one.
+
+The prefilter.  Most patterns of a chunk lie far above the block minimum,
+and a float32 Cholesky certifies that cheaply; only the other patterns are
+valued.  The threshold t is the running minimum once a pattern of the
+block has been valued.  Before that, on the block's first chunk, t is the
+least squared pivot of a Cholesky of Z at shift 0, taken with the rows in
+reversed order: the k-th squared pivot is 1 / (A_k^-1)_kk for the leading
+k x k block A_k, so at least lambda_min(A_k), which by interlacing is at
+least lambda_min(Z).  A pattern is dropped only when the float32 Cholesky
+of Z - sI, s = t + TIE_EPS + _MARGIN, has every pivot positive and a pivot
+product above _DET_GUARD * ((tr Z + n s) / n)^n.  Then:
+
+  * R^T R = Z - sI + dA for the computed factor R, with ||dA||_2 <= e =
+    g / (1 - g) * n(n+1)/2 + 2 (n+1) u, g = gamma_{n+1} and u = 2^-24
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    Thm 10.3, with ||R||_F^2 = tr(R^T R) and tr Z <= n(n+1)/2; the last
+    term covers rounding s and the shifted diagonal to float32).  R^T R is
+    positive definite, so lambda_min(Z) > s - e.  At n = 9, e is 2.8e-5,
+    under _MARGIN / 2.
+  * When the least eigenvalue is multiple, the Newton value can stop far
+    below it on the noise floor: 4.2e-2 below for the identity at n = 9.
+    The guard rules that out below s - e.  There the characteristic
+    polynomial is at least det(Z - (s - e)I) >= det(R^T R), the pivot
+    product, while the walk's noise bound is NOISE_FLOOR * prod(lambda_i +
+    x) <= NOISE_FLOOR * ((tr Z + n s) / n)^n, five orders of magnitude
+    under the guard.  Below the least root a Newton step is at least
+    (lambda_min - x) / n, so no step-size stop falls more than a relative
+    n * NEWTON_TOL under it either.
+
+So a dropped pattern's value exceeds t + TIE_EPS + _MARGIN / 2.  After the
+first chunk t is a value of the block, and no dropped pattern can be a new
+minimum or a near-tie.  On the first chunk, when nothing survives or the
+least survivor's value exceeds t + _MARGIN / 2, the whole chunk is valued;
+otherwise every dropped value is more than TIE_EPS above the chunk minimum.
+Either way scan_block returns, bit for bit, what valuing every pattern
+returns.  The exact-division and unit-determinant checks of _values_for run
+on the valued patterns only.
 
 The kernel works through a block in chunks of _CHUNK indices, small enough
 that a chunk's matrices stay in cache, and fills the same work buffers again
@@ -55,7 +94,10 @@ exhaustive_min runs one loop over the blocks for every worker count,
 through map, or with workers > 1 through the map of a process pool whose
 workers ignore SIGINT: a Ctrl-C in a terminal signals the whole process
 group, and a worker interrupted mid-block could leave the pool hung, so
-the main process alone stops the scan.  Both maps yield block results in the order the
+the main process alone stops the scan.  It stops at a block boundary:
+while the loop runs, a SIGINT is only recorded, and the loop raises
+KeyboardInterrupt after the next merged block (_sigint_between_blocks says
+why).  Both maps yield block results in the order the
 blocks were handed out, however far the workers run ahead.  On an abort
 the for statement drops the pool's result iterator, whose cleanup cancels
 every block still waiting; only those already in the workers' call queue,
@@ -101,6 +143,10 @@ DEFAULT_BLOCK_SIZE = 1 << 20
 SEARCH_N_MAX = 9
 CHECKPOINT_VERSION = "2"
 _CHUNK = 1 << 12
+# the prefilter's shift above the threshold, and its determinant guard;
+# the module notes give the error argument for both
+_MARGIN = 1e-4
+_DET_GUARD = 1e-10
 _SAVE_EVERY = 1.0  # seconds between checkpoint saves while a scan runs
 
 
@@ -202,13 +248,22 @@ class _Workspace:
         # pair_start[i]; sym maps entry (i, j) of Z to its pair
         upper_i, upper_j = np.triu_indices(n)
         self.npairs = upper_i.size
-        self.pair_start = np.concatenate(([0], np.cumsum(np.arange(n, 0, -1))))
+        self.pair_start = [0, *itertools.accumulate(range(n, 0, -1))]
         sym = np.empty((n, n), dtype=np.intp)
         sym[upper_i, upper_j] = sym[upper_j, upper_i] = np.arange(self.npairs)
         self.sym = sym.ravel()
+        # Z with its rows and columns in reversed order, packed as Z is:
+        # entry (a, b), a >= b, of J Z J is pair (n-1-a, n-1-b)
+        self.reversed = np.array(
+            [self.pair_start[n - 1 - a] + a - b for b in range(n) for a in range(b, n)]
+        )
         self.masks = np.empty(n * size, dtype=np.int64)
         self.pairs = np.empty(self.npairs * size, dtype=np.int64)
         self.counts = np.empty(self.npairs * size, dtype=np.uint8)
+        self.gathered = np.empty(self.npairs * size, dtype=np.uint8)
+        self.factor = np.empty(self.npairs * size, dtype=np.float32)
+        self.pivots = np.empty(n * size, dtype=np.float32)
+        self.column = np.empty(n * size, dtype=np.float32)
         self.square = np.empty(n * n * size, dtype=np.uint8)
         # Z^1 .. Z^ceil(n/2)
         self.pows = [np.empty(n * n * size) for _ in range((n + 1) // 2)]
@@ -217,11 +272,12 @@ class _Workspace:
         self.e = np.empty((n + 1) * size, dtype=np.int64)
         self.prod = np.empty(size, dtype=np.int64)
 
-    def gram(self, idx: np.ndarray) -> np.ndarray:
-        """Z = Y Y^T for a batch of packed indices, as a C-ordered (B, n, n) view.
+    def pair_counts(self, idx: np.ndarray) -> np.ndarray:
+        """popcount(row_i & row_j) for every row pair i <= j, as (npairs, B).
 
-        Z_ij = popcount(row_i & row_j) over the row bitmasks, unit diagonal
-        included, as core.gram computes it for one pattern.
+        Row i's pairs start at pair_start[i]; read by symmetry, the same
+        array is Z's lower triangle packed by columns, column j holding
+        entries (j .. n-1, j).
         """
         n, bsz = self.n, idx.shape[0]
         masks = row_masks(n, idx, out=_part(self.masks, n, bsz))
@@ -231,6 +287,16 @@ class _Workspace:
             np.bitwise_and(masks[i], masks[i:], out=pairs[lo:hi])
         counts = _part(self.counts, self.npairs, bsz)
         np.take(_POPCOUNT, pairs, out=counts, mode="clip")
+        return counts
+
+    def gram(self, idx: np.ndarray) -> np.ndarray:
+        """Z = Y Y^T for a batch of packed indices, as a C-ordered (B, n, n) view.
+
+        Z_ij = popcount(row_i & row_j) over the row bitmasks, unit diagonal
+        included, as core.gram computes it for one pattern.
+        """
+        n, bsz = self.n, idx.shape[0]
+        counts = self.pair_counts(idx)
         square = _part(self.square, n * n, bsz)
         np.take(counts, self.sym, axis=0, out=square, mode="clip")
         # the batched matmul runs several times slower on a Fortran-ordered
@@ -238,6 +304,36 @@ class _Workspace:
         z = _part(self.pows[0], bsz, n, n)
         z.reshape(bsz, n * n)[...] = square.T
         return z
+
+    def cholesky(self, counts: np.ndarray, shift: float, reverse: bool = False) -> np.ndarray:
+        """Squared pivots of a float32 Cholesky of Z - shift I, as (n, B).
+
+        ``counts`` is a batch of pair_counts; with ``reverse`` the rows and
+        columns of Z are taken in reversed order.  A pattern whose factor
+        breaks down gets a pivot that is not positive, or NaN, from the
+        first failing column on.
+        """
+        n, bsz = self.n, counts.shape[1]
+        start = self.pair_start
+        a = _part(self.factor, self.npairs, bsz)
+        if reverse:
+            counts = np.take(counts, self.reversed, axis=0,
+                             out=_part(self.gathered, self.npairs, bsz), mode="clip")
+        np.copyto(a, counts)
+        a[start[:n]] -= np.float32(shift)
+        piv = _part(self.pivots, n, bsz)
+        tmp = _part(self.column, n, bsz)
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            for j in range(n):
+                col = a[start[j]:start[j + 1]]
+                piv[j] = col[0]
+                np.sqrt(col[0], out=col[0])
+                col[1:] /= col[0]
+                for k in range(j + 1, n):
+                    below = tmp[: n - k]
+                    np.multiply(col[k - j:], col[k - j], out=below)
+                    a[start[k]:start[k + 1]] -= below
+        return piv
 
 
 def _values_for(n: int, idx: np.ndarray, ws: _Workspace) -> np.ndarray:
@@ -345,6 +441,24 @@ def _newton_batch(coeffs: np.ndarray) -> np.ndarray:
 _per_thread = threading.local()
 
 
+def _reachable(ws: _Workspace, counts: np.ndarray, t: float) -> np.ndarray:
+    """Mask of the patterns whose value the filter cannot place above t + TIE_EPS.
+
+    A pattern is excluded only when the float32 Cholesky of Z - sI, with
+    s = t + TIE_EPS + _MARGIN, has every pivot positive and a pivot product
+    above _DET_GUARD * ((tr Z + n s) / n)^n; the module notes show that its
+    value then exceeds t + TIE_EPS + _MARGIN / 2.
+    """
+    n = ws.n
+    s = t + TIE_EPS + _MARGIN
+    piv = ws.cholesky(counts, s)
+    trace = counts[ws.pair_start[:n]].sum(axis=0, dtype=np.float32)
+    floor = _DET_GUARD * ((trace + np.float32(n * s)) / np.float32(n)) ** n
+    with np.errstate(invalid="ignore", over="ignore"):
+        certified = (piv > 0).all(axis=0) & (piv.prod(axis=0) > floor)
+    return ~certified
+
+
 def scan_block(n: int, start: int, stop: int) -> PartialResult:
     """Scan one contiguous index range; returns its minimum and near-ties."""
     size = min(_CHUNK, max(stop - start, 0))
@@ -359,13 +473,29 @@ def scan_block(n: int, start: int, stop: int) -> PartialResult:
         hi = min(lo + _CHUNK, stop)
         idx = np.arange(lo, hi, dtype=np.int64)
         count += idx.size
-        vals = _values_for(n, idx, ws)
+        counts = ws.pair_counts(idx)
+        first = best == float("inf")
+        if first:
+            # every squared pivot is at least the least eigenvalue, so the
+            # least one of the chunk bounds the chunk's minimum from above;
+            # one that float32 rounding left nonpositive, or NaN, gives 0
+            t = float(ws.cholesky(counts, 0.0, reverse=True).min())
+            t = t if t > 0.0 else 0.0
+        else:
+            t = best
+        kept = idx[_reachable(ws, counts, t)]
+        if kept.size:
+            vals = _values_for(n, kept, ws)
+        elif not first:
+            continue
+        if first and not (kept.size and vals.min() <= t + _MARGIN / 2):
+            kept, vals = idx, _values_for(n, idx, ws)
         vmin = float(vals.min())
         if vmin < best:
             best = vmin
             cands = [c for c in cands if c[1] <= best + TIE_EPS]
         sel = np.flatnonzero(vals <= best + TIE_EPS)
-        cands.extend((int(idx[i]), float(vals[i])) for i in sel)
+        cands.extend((int(kept[i]), float(vals[i])) for i in sel)
     return PartialResult(count, best, tuple(cands))
 
 
@@ -500,6 +630,37 @@ def _adjudicate(n: int, candidates: Iterable[tuple[int, float]]) -> tuple[int, .
     return tuple(best)
 
 
+@contextlib.contextmanager
+def _sigint_between_blocks():
+    """Defer a SIGINT that arrives during the scan to the next merged block.
+
+    Yields a check that raises KeyboardInterrupt once a SIGINT has come in.
+    Raised where the signal lands, a KeyboardInterrupt can hit the wait on
+    a pool result between a lock's release and its re-acquire inside
+    concurrent.futures, whose exit then fails with "cannot release
+    un-acquired lock" and a traceback instead of the interrupt.  Outside the
+    main thread, or under a SIGINT handler other than Python's default,
+    nothing is deferred.
+    """
+    pending = []
+    owned = (
+        threading.current_thread() is threading.main_thread()
+        and signal.getsignal(signal.SIGINT) is signal.default_int_handler
+    )
+    if owned:
+        signal.signal(signal.SIGINT, lambda signum, frame: pending.append(signum))
+
+    def check() -> None:
+        if pending:
+            raise KeyboardInterrupt
+
+    try:
+        yield check
+    finally:
+        if owned:
+            signal.signal(signal.SIGINT, signal.default_int_handler)
+
+
 def exhaustive_min(
     n: int,
     workers: int = 1,
@@ -579,7 +740,7 @@ def exhaustive_min(
             state = PartialResult(covered, state.best, state.candidates)
         # one loop for every worker count; the module notes say why no name
         # may hold the iterator that map returns
-        with (
+        with _sigint_between_blocks() as check_interrupt, (
             ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=signal.signal,
@@ -594,6 +755,7 @@ def exhaustive_min(
                 scan_block, itertools.repeat(n), starts, stops
             ):
                 note_done(result)
+                check_interrupt()
     finally:
         # every way out leaves the file holding the merged blocks, and this
         # process holding no kernel buffers

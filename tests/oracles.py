@@ -10,13 +10,16 @@ method, so agreement between the two is evidence for both:
   * invert_via_nilpotent: the inverse of a pattern as the terminating
     series I - N + N^2 - ..., against inverse.invert_unit_lower;
   * nilpotent_band_check: N^k vanishes on the band i - j < k, the
-    structure that makes that series terminate.
+    structure that makes that series terminate;
+  * unfiltered_scan_block: a block scan that values every pattern,
+    against search.scan_block and its Cholesky prefilter.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from gramfloor import search
 from gramfloor.charpoly import CharPoly, ConvergenceError, _as_float_array
 from gramfloor.core import (
     GramMatrix,
@@ -162,3 +165,27 @@ def nilpotent_band_check(y: LowerUnitMatrix, k: int) -> bool:
         for j in range(n)
         if i - j < k
     )
+
+
+def unfiltered_scan_block(n: int, start: int, stop: int) -> search.PartialResult:
+    """search.scan_block without its prefilter: every pattern is valued.
+
+    Chunks of search._CHUNK indices go through search._values_for in
+    turn, each keeping the running minimum and the indices within TIE_EPS
+    of it, so the result must equal scan_block's for every range.
+    """
+    ws = search._Workspace(n, min(search._CHUNK, max(stop - start, 0)))
+    best = float("inf")
+    cands: list[tuple[int, float]] = []
+    count = 0
+    for lo in range(start, stop, search._CHUNK):
+        idx = np.arange(lo, min(lo + search._CHUNK, stop), dtype=np.int64)
+        count += idx.size
+        vals = search._values_for(n, idx, ws)
+        vmin = float(vals.min())
+        if vmin < best:
+            best = vmin
+            cands = [c for c in cands if c[1] <= best + search.TIE_EPS]
+        sel = np.flatnonzero(vals <= best + search.TIE_EPS)
+        cands.extend((int(idx[i]), float(vals[i])) for i in sel)
+    return search.PartialResult(count, best, tuple(cands))

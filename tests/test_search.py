@@ -1,4 +1,4 @@
-"""Exhaustive scan engine: partitioning, merging, checkpoints, determinism."""
+"""Exhaustive scan engine: partitioning, the prefilter, merging, checkpoints, determinism."""
 
 import json
 import multiprocessing
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import gramfloor
 from gramfloor import search
 from gramfloor.charpoly import smallest_eigenvalue
-from gramfloor.core import from_index, gram, tri, y0
+from gramfloor.core import encode, from_index, gram, to_dense, tri, y0
 from gramfloor.search import (
     DEFAULT_BLOCK_SIZE,
     EMPTY_PARTIAL,
@@ -37,6 +37,7 @@ from gramfloor.search import (
     scan_block,
     y0_index,
 )
+from oracles import unfiltered_scan_block
 
 FROZEN_FLOORS = {
     1: 1.0,
@@ -108,6 +109,136 @@ def test_scan_block_is_independent_of_chunk_size(monkeypatch, chunk):
     reference = scan_block(6, 0, 1 << 15)
     monkeypatch.setattr(search, "_CHUNK", chunk)
     assert scan_block(6, 0, 1 << 15) == reference
+
+
+# block sizes against chunk sizes; a chunk at least as long as the block
+# scans it as the default chunk does, so only one such pair is kept
+_SWEEP = [(block, chunk) for block in (1, 3, 64, 4096) for chunk in (2, 7, 64, 4096)
+          if chunk < block or chunk == 4096]
+
+
+def _sweep_blocks(block, chunk, n_max, monkeypatch):
+    monkeypatch.setattr(search, "_CHUNK", chunk)
+    for n in range(1, n_max + 1):
+        for start, stop in partition(n, block):
+            expected = unfiltered_scan_block(n, start, stop)
+            assert scan_block(n, start, stop) == expected, (n, start, stop)
+
+
+@pytest.mark.parametrize("block, chunk", _SWEEP)
+def test_prefilter_keeps_every_block_result(monkeypatch, block, chunk):
+    # every block of every n <= 5, and of n = 6 where blocks and chunks are
+    # long, equals the scan that values every pattern
+    _sweep_blocks(block, chunk, 6 if min(block, chunk) >= 64 else 5, monkeypatch)
+
+
+@pytest.mark.longrun
+@pytest.mark.skipif(
+    os.environ.get("GRAMFLOOR_LONGRUN") != "1",
+    reason="block sweep of n = 6 at every block and chunk size enabled by GRAMFLOOR_LONGRUN=1",
+)
+def test_prefilter_keeps_every_block_result_up_to_n6(monkeypatch):
+    for block, chunk in _SWEEP:
+        _sweep_blocks(block, chunk, 6, monkeypatch)
+
+
+@pytest.mark.parametrize("n", [7, 8, 9])
+def test_prefilter_keeps_seeded_windows(n):
+    # windows that start off the chunk grid, and the one holding Y0
+    width = 1 << 15
+    rng = random.Random(1000 + n)
+    y0i = y0_index(n)
+    starts = [rng.randrange((1 << tri(n)) - width) for _ in range(3)]
+    starts.append(y0i - y0i % width)
+    for start in starts:
+        result = scan_block(n, start, start + width)
+        assert result == unfiltered_scan_block(n, start, start + width), (n, start)
+    assert (y0i, smallest_eigenvalue(gram(y0(n)))) in result.candidates
+
+
+def _block_diagonal(n, blocks):
+    """Index of the size-n pattern with ``blocks`` down its diagonal, then I."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    at = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            rows[at + i][at:at + len(row)] = row
+        at += len(block)
+    return encode(rows).bits
+
+
+_COPY = [[1, 0], [1, 1]]  # Y Y^T = [[1, 1], [1, 2]]
+# patterns whose least eigenvalue is multiple, where the Newton value can
+# sit far below it: the identity, copies of one 2 x 2 block, three of Y0(3)
+_DEGENERATE = (
+    [(n, 0) for n in range(2, 10)]
+    + [(n, _block_diagonal(n, [_COPY] * 3)) for n in range(6, 10)]
+    + [(n, _block_diagonal(n, [_COPY] * 4)) for n in (8, 9)]
+    + [(9, _block_diagonal(9, [to_dense(y0(3)).entries] * 3))]
+)
+
+
+@pytest.mark.parametrize("n, index", _DEGENERATE)
+def test_prefilter_keeps_multiple_eigenvalue_patterns(n, index):
+    # at t = its own value the pattern must be valued; the Cholesky alone
+    # would place it above t, and only the determinant guard keeps it
+    value = smallest_eigenvalue(gram(from_index(n, index)))
+    ws = search._Workspace(n, 1)
+    counts = ws.pair_counts(np.array([index], dtype=np.int64))
+    assert search._reachable(ws, counts, value)[0]
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_prefilter_drops_patterns_clearly_above_the_threshold(n):
+    ws = search._Workspace(n, 1)
+    counts = ws.pair_counts(np.array([y0_index(n)], dtype=np.int64))
+    z0 = smallest_eigenvalue(gram(y0(n)))
+    assert not search._reachable(ws, counts, z0 - 1e-3)[0]
+    assert search._reachable(ws, counts, z0 - search._MARGIN / 4)[0]
+
+
+def test_margin_covers_twice_the_cholesky_error():
+    # float32 Cholesky of A = Z - sI (Higham, Accuracy and Stability of
+    # Numerical Algorithms, Thm 10.3): R^T R = A + dA, |dA| <= g |R^T||R|
+    # with g = gamma_{n+1}, so ||dA||_2 <= g ||R||_F^2 <= g tr(A) / (1 - g)
+    # and tr(A) <= tr Z <= n(n+1)/2.  Rounding s and the diagonal of A to
+    # float32 adds at most 2 (n + 1) u
+    u = 2.0 ** -24
+    for n in range(1, SEARCH_N_MAX + 1):
+        g = (n + 1) * u / (1 - (n + 1) * u)
+        e = g / (1 - g) * n * (n + 1) / 2 + 2 * (n + 1) * u
+        assert search._MARGIN > 2 * e, n
+
+
+@pytest.mark.parametrize("shift", [-0.5, -0.05, -1e-3, 1e-3, 0.5])
+def test_first_chunk_threshold_only_steers_the_filter(monkeypatch, shift):
+    # the first chunk's threshold t comes from a factorization at shift 0;
+    # a t too low must send the whole chunk through the Newton pipeline,
+    # one too high only keeps more patterns, and the result never moves
+    real_cholesky = search._Workspace.cholesky
+
+    def shifted(self, counts, s, reverse=False):
+        piv = real_cholesky(self, counts, s, reverse)
+        return piv + np.float32(shift) if reverse else piv
+
+    valued = []
+    real_values = search._values_for
+
+    def counted(n, idx, ws):
+        valued.append(idx.size)
+        return real_values(n, idx, ws)
+
+    for n, chunk in ((5, 64), (6, 512), (7, 4096)):
+        monkeypatch.setattr(search, "_CHUNK", chunk)
+        blocks = partition(n, 4 * chunk)[:16]
+        expected = [unfiltered_scan_block(n, start, stop) for start, stop in blocks]
+        with monkeypatch.context() as patch:
+            patch.setattr(search._Workspace, "cholesky", shifted)
+            patch.setattr(search, "_values_for", counted)
+            assert [scan_block(n, start, stop) for start, stop in blocks] == expected
+    if shift <= -0.05:
+        # no n = 7 chunk then has a survivor at or under t + _MARGIN / 2
+        assert 4096 in valued
 
 
 def test_scan_block_refuses_sizes_beyond_exactness_bound():
@@ -519,6 +650,27 @@ def test_pool_workers_ignore_sigint(tmp_path, monkeypatch):
     assert {p.read_text() for p in stamps.iterdir()} == {"ignored"}
     assert len(list(stamps.iterdir())) == 8
     assert signal.getsignal(signal.SIGINT) is driver_handler
+
+
+def test_sigint_stops_a_pool_scan_after_the_next_merged_block(tmp_path):
+    # a SIGINT is recorded where it lands, and the scan raises
+    # KeyboardInterrupt once the block being merged is counted
+    assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
+    path = str(tmp_path / "ck.json")
+    reached = []
+
+    def interrupt_at_3(done, total):
+        if done == 3:
+            os.kill(os.getpid(), signal.SIGINT)
+            time.sleep(0.05)
+            reached.append(done)
+
+    with pytest.raises(KeyboardInterrupt):
+        exhaustive_min(6, workers=2, block_size=512, checkpoint_path=path,
+                       progress=interrupt_at_3)
+    assert reached == [3]
+    assert checkpoint_load(path).completed_runs == ((0, 3),)
+    assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
 
 
 class _Stop(Exception):
