@@ -12,8 +12,8 @@ increase monotonically to the least root, so the first fixed point is the
 right one.  The stopping rule is fixed, so c_n has one value: the walk stops
 once a step is at most NEWTON_TOL relative to the iterate, or once the
 residual sinks under the float64 noise floor, and gives up after NEWTON_CAP
-steps.  The batched walk in search follows the same rule, so a value has
-the same bits whichever walk computes it.
+steps.  The scan in search values each pattern through newton_identities
+and this walk too, so every route to a value runs the same code.
 
 A dependency-free cyclic Jacobi eigensolver gives all eigenvalues in
 float64 for the GCD-matrix and divisor-matrix checks in bounds.

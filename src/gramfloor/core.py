@@ -116,16 +116,11 @@ class GramMatrix:
 
 
 def from_index(n: int, index: int) -> LowerUnitMatrix:
-    """Pattern number ``index`` of size n; inverse of ``index_of``.
+    """Pattern number ``index`` of size n; its ``bits`` field is ``index``.
 
     Raises ValueError when index is outside [0, 2^(n(n-1)/2)).
     """
     return LowerUnitMatrix(n, index)
-
-
-def index_of(y: LowerUnitMatrix) -> int:
-    """Enumeration index of a pattern; equals its packed bitfield."""
-    return y.bits
 
 
 def y0(n: int) -> LowerUnitMatrix:
@@ -208,10 +203,6 @@ def gram_factor(z: GramMatrix) -> LowerUnitMatrix:
                     raise ValueError(f"not a (0,1) Gram matrix: entry {acc} at ({i}, {j})")
                 rows[i][j] = acc
     return encode(rows)
-
-
-def mat_identity(n: int) -> IntegerMatrix:
-    return IntegerMatrix(n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
 
 def mat_mul(a: IntegerMatrix | GramMatrix, b: IntegerMatrix | GramMatrix) -> IntegerMatrix:

@@ -1,15 +1,16 @@
 """Exhaustive minimization of the least Gram eigenvalue over all patterns.
 
 The index space of size-n patterns is split into contiguous blocks; each
-block is scanned by a vectorized kernel that reproduces the scalar pipeline
-(exact power sums, Newton identities, monotone Newton root) elementwise, so
-the value computed for an index never depends on which block or chunk it
-landed in.  A Cholesky prefilter sends only the patterns that can reach the
-block minimum through that pipeline, and returns what valuing every pattern
-would.  Block results carry the block minimum plus every index whose
-value sits within TIE_EPS of it; merging keeps the global minimum and the
-surviving near-ties, and is associative and commutative, which is what makes
-worker count and completion order irrelevant to the result.
+block is scanned by a vectorized kernel that computes exact power sums in
+batches and values each pattern through charpoly's own Newton identities and
+monotone Newton root, so the value computed for an index never depends on
+which block or chunk it landed in.  A Cholesky prefilter sends only the
+patterns that can reach the block minimum through that pipeline, and returns
+what valuing every pattern would.  Block results carry the block minimum
+plus every index whose value sits within TIE_EPS of it; merging keeps the
+global minimum and the surviving near-ties, and is associative and
+commutative, which is what makes worker count and completion order
+irrelevant to the result.
 
 Candidates within TIE_EPS of the final minimum are then re-ordered exactly
 through their integer characteristic polynomials, so the reported argmin set
@@ -23,11 +24,9 @@ pattern Y has at most n(n+1)/2 ones, so every eigenvalue of Z is at most s =
 n(n+1)/2.  All power products stay below n * s^n, which for n <= 9 is under
 2^53; matrix products of nonnegative integers that small are exact in
 float64 no matter how the sums are ordered, so the BLAS-backed batched
-products are exact and reproducible.  Newton-identity accumulation happens
-in int64, where the same bound keeps every partial sum under 2^63.  The
-Newton identities and the Newton walk run on one row per coefficient,
-elementwise in the same order as the scalar pipeline, so every value is bit
-for bit the scalar one.
+products are exact and reproducible.  Each valued pattern's power sums then
+go through charpoly.newton_identities and charpoly.smallest_root_newton, so
+its value is the scalar pipeline's by construction.
 
 The prefilter.  Most patterns of a chunk lie far above the block minimum,
 and a float32 Cholesky certifies that cheaply; only the other patterns are
@@ -63,8 +62,8 @@ minimum or a near-tie.  On the first chunk, when nothing survives or the
 least survivor's value exceeds t + _MARGIN / 2, the whole chunk is valued;
 otherwise every dropped value is more than TIE_EPS above the chunk minimum.
 Either way scan_block returns, bit for bit, what valuing every pattern
-returns.  The exact-division and unit-determinant checks of _values_for run
-on the valued patterns only.
+returns.  The exact-division check of newton_identities and the
+unit-determinant check of _values_for run on the valued patterns only.
 
 The kernel works through a block in chunks of _CHUNK indices, small enough
 that a chunk's matrices stay in cache, and fills the same work buffers again
@@ -125,16 +124,14 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .charpoly import (
-    NEWTON_CAP,
     NEWTON_TOL,
-    NOISE_FLOOR,
-    _BACKSTEP,
     CharPoly,
-    ConvergenceError,
+    PowerSums,
     compare_smallest_roots,
     newton_identities,
     power_sums,
     smallest_eigenvalue,
+    smallest_root_newton,
 )
 from .core import from_index, gram, row_masks, tri, y0
 
@@ -267,10 +264,7 @@ class _Workspace:
         self.square = np.empty(n * n * size, dtype=np.uint8)
         # Z^1 .. Z^ceil(n/2)
         self.pows = [np.empty(n * n * size) for _ in range((n + 1) // 2)]
-        self.trace = np.empty(size)
-        self.p = np.empty((n + 1) * size, dtype=np.int64)
-        self.e = np.empty((n + 1) * size, dtype=np.int64)
-        self.prod = np.empty(size, dtype=np.int64)
+        self.p = np.empty(n * size)
 
     def pair_counts(self, idx: np.ndarray) -> np.ndarray:
         """popcount(row_i & row_j) for every row pair i <= j, as (npairs, B).
@@ -336,11 +330,10 @@ class _Workspace:
         return piv
 
 
-def _values_for(n: int, idx: np.ndarray, ws: _Workspace) -> np.ndarray:
-    """Least Gram eigenvalues for a batch of packed indices.
+def _power_sums_for(n: int, idx: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """Power sums p_1 .. p_n of a batch of packed indices, as (n, B) float64.
 
-    Mirrors the scalar pipeline operation for operation so a value never
-    depends on the batch it was computed in.  ``ws`` lends its buffers.
+    Row k - 1 holds trace(Z^k), an exact integer.  ``ws`` lends its buffers.
     """
     bsz = idx.shape[0]
     half = (n + 1) // 2
@@ -349,92 +342,28 @@ def _values_for(n: int, idx: np.ndarray, ws: _Workspace) -> np.ndarray:
         pows.append(np.matmul(pows[-1], pows[1], out=_part(ws.pows[k - 1], bsz, n, n)))
     # all power sums are bounded by n * (n(n+1)/2)^n < 2^53 for n <= 9,
     # so the float64 traces are exact integers
-    p = _part(ws.p, n + 1, bsz)
-    trace = ws.trace[:bsz]
+    p = _part(ws.p, n, bsz)
     for k in range(1, n + 1):
         if k <= half:
-            np.einsum("bii->b", pows[k], out=trace)
+            np.einsum("bii->b", pows[k], out=p[k - 1])
         else:
-            np.einsum("bij,bij->b", pows[half], pows[k - half], out=trace)
-        p[k] = trace
-
-    e = _part(ws.e, n + 1, bsz)
-    prod = ws.prod[:bsz]
-    e[0] = 1
-    for k in range(1, n + 1):
-        acc = e[k]
-        acc[...] = 0
-        sign = 1
-        for i in range(1, k + 1):
-            np.multiply(e[k - i], p[i], out=prod)
-            if sign > 0:
-                acc += prod
-            else:
-                acc -= prod
-            sign = -sign
-        if k > 1:
-            np.remainder(acc, k, out=prod)
-            if prod.any():
-                raise ArithmeticError(f"Newton identity division not exact at k={k}")
-            acc //= k
-    if not (e[n] == 1).all():
-        raise ArithmeticError("unit determinant violated in scan kernel")
-
-    coeffs = e.astype(np.float64)
-    coeffs[1::2] *= -1.0
-    return _newton_batch(coeffs)
+            np.einsum("bij,bij->b", pows[half], pows[k - half], out=p[k - 1])
+    return p
 
 
-def _newton_batch(coeffs: np.ndarray) -> np.ndarray:
-    """Vectorized twin of the scalar Newton walk, identical stop rules.
+def _values_for(n: int, idx: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """Least Gram eigenvalues for a batch of packed indices.
 
-    ``coeffs`` holds one coefficient per row, (w, B).  A column that has
-    stopped keeps its iterate and is only dropped from the arrays once half
-    of them have stopped, which keeps the gathers rare.
+    Each pattern's power sums go through the scalar pipeline's Newton
+    identities and Newton walk.  ``ws`` lends its buffers.
     """
-    w, bsz = coeffs.shape
-    abs_c = np.abs(coeffs)
-    x = np.zeros(bsz)
-    cols = np.arange(bsz)  # the x entry of each column still held
-    xa = np.zeros(bsz)
-    live = np.ones(bsz, dtype=bool)
-    q, dq, s = np.empty(bsz), np.empty(bsz), np.empty(bsz)
-    for _ in range(NEWTON_CAP):
-        m = xa.size
-        q, dq, s = q[:m], dq[:m], s[:m]
-        q[...] = coeffs[0]
-        dq[...] = 0.0
-        s[...] = abs_c[0]
-        for j in range(1, w):
-            dq *= xa
-            dq += q
-            q *= xa
-            q += coeffs[j]
-            s *= xa
-            s += abs_c[j]
-        noise_done = np.abs(q) <= NOISE_FLOOR * s
-        if ((dq == 0.0) & ~noise_done & live).any():
-            raise ConvergenceError("stationary point hit before convergence")
-        dq_safe = np.where(dq == 0.0, 1.0, dq)
-        xn = xa - q / dq_safe
-        step = xn - xa
-        backstep = (step <= 0.0) & ~noise_done
-        if (backstep & live & (step < -_BACKSTEP * np.maximum(xa, 1.0))).any():
-            raise ConvergenceError("iterates left the monotone regime")
-        # negative steps inside the jitter band park at the previous iterate
-        xn = np.where(noise_done | backstep, xa, xn)
-        done = noise_done | backstep | (step <= NEWTON_TOL * xn)
-        np.copyto(xa, xn, where=live)
-        live &= ~done
-        nlive = np.count_nonzero(live)
-        if 2 * nlive <= m:
-            x[cols] = xa
-            if nlive == 0:
-                return x
-            cols, xa = cols[live], xa[live]
-            coeffs, abs_c = coeffs[:, live], abs_c[:, live]
-            live = np.ones(nlive, dtype=bool)
-    raise ConvergenceError(f"no convergence within {NEWTON_CAP} iterations")
+    values = np.empty(idx.shape[0])
+    for b, col in enumerate(_power_sums_for(n, idx, ws).T.tolist()):
+        cp = newton_identities(PowerSums(n, tuple(map(int, col))))
+        if cp.e[-1] != 1:
+            raise ArithmeticError("unit determinant violated in scan kernel")
+        values[b] = smallest_root_newton(cp)
+    return values
 
 
 # the workspace of each thread, kept between scan_block calls

@@ -11,8 +11,13 @@ method, so agreement between the two is evidence for both:
     series I - N + N^2 - ..., against inverse.invert_unit_lower;
   * nilpotent_band_check: N^k vanishes on the band i - j < k, the
     structure that makes that series terminate;
-  * unfiltered_scan_block: a block scan that values every pattern,
-    against search.scan_block and its Cholesky prefilter.
+  * batched_values: the scan kernel's values by vectorized twins of the
+    Newton identities and the Newton walk, against the scalar pipeline
+    that search._values_for runs;
+  * unfiltered_scan_block: a block scan that values every pattern through
+    batched_values, against search.scan_block and its Cholesky prefilter.
+
+Two helpers that only tests call, mat_identity and index_of, live here too.
 """
 
 from __future__ import annotations
@@ -20,16 +25,32 @@ from __future__ import annotations
 import numpy as np
 
 from gramfloor import search
-from gramfloor.charpoly import CharPoly, ConvergenceError, _as_float_array
+from gramfloor.charpoly import (
+    NEWTON_CAP,
+    NEWTON_TOL,
+    NOISE_FLOOR,
+    _BACKSTEP,
+    CharPoly,
+    ConvergenceError,
+    _as_float_array,
+)
 from gramfloor.core import (
     GramMatrix,
     IntegerMatrix,
     LowerUnitMatrix,
-    mat_identity,
     mat_mul,
     mat_trace,
     to_dense,
 )
+
+
+def mat_identity(n: int) -> IntegerMatrix:
+    return IntegerMatrix(n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+
+
+def index_of(y: LowerUnitMatrix) -> int:
+    """Enumeration index of a pattern; equals its packed bitfield."""
+    return y.bits
 
 
 def faddeev_leverrier(m: IntegerMatrix | GramMatrix) -> CharPoly:
@@ -167,12 +188,103 @@ def nilpotent_band_check(y: LowerUnitMatrix, k: int) -> bool:
     )
 
 
+def batched_values(n: int, idx: np.ndarray, ws: search._Workspace) -> np.ndarray:
+    """Least Gram eigenvalues for a batch of packed indices, vectorized.
+
+    search._power_sums_for's exact power sums go through Newton's
+    identities in int64, where the scan's 2^53 bound keeps every partial
+    sum under 2^63, and then through _newton_batch.  Both run on one row
+    per coefficient, elementwise in the scalar pipeline's order, so every
+    value must equal charpoly.smallest_eigenvalue's bit for bit.
+    """
+    bsz = idx.shape[0]
+    p = np.empty((n + 1, bsz), dtype=np.int64)
+    p[1:] = search._power_sums_for(n, idx, ws)
+    e = np.empty((n + 1, bsz), dtype=np.int64)
+    prod = np.empty(bsz, dtype=np.int64)
+    e[0] = 1
+    for k in range(1, n + 1):
+        acc = e[k]
+        acc[...] = 0
+        sign = 1
+        for i in range(1, k + 1):
+            np.multiply(e[k - i], p[i], out=prod)
+            if sign > 0:
+                acc += prod
+            else:
+                acc -= prod
+            sign = -sign
+        if k > 1:
+            np.remainder(acc, k, out=prod)
+            if prod.any():
+                raise ArithmeticError(f"Newton identity division not exact at k={k}")
+            acc //= k
+    if not (e[n] == 1).all():
+        raise ArithmeticError("unit determinant violated in batched values")
+
+    coeffs = e.astype(np.float64)
+    coeffs[1::2] *= -1.0
+    return _newton_batch(coeffs)
+
+
+def _newton_batch(coeffs: np.ndarray) -> np.ndarray:
+    """Vectorized twin of the scalar Newton walk, identical stop rules.
+
+    ``coeffs`` holds one coefficient per row, (w, B).  A column that has
+    stopped keeps its iterate and is only dropped from the arrays once half
+    of them have stopped, which keeps the gathers rare.
+    """
+    w, bsz = coeffs.shape
+    abs_c = np.abs(coeffs)
+    x = np.zeros(bsz)
+    cols = np.arange(bsz)  # the x entry of each column still held
+    xa = np.zeros(bsz)
+    live = np.ones(bsz, dtype=bool)
+    q, dq, s = np.empty(bsz), np.empty(bsz), np.empty(bsz)
+    for _ in range(NEWTON_CAP):
+        m = xa.size
+        q, dq, s = q[:m], dq[:m], s[:m]
+        q[...] = coeffs[0]
+        dq[...] = 0.0
+        s[...] = abs_c[0]
+        for j in range(1, w):
+            dq *= xa
+            dq += q
+            q *= xa
+            q += coeffs[j]
+            s *= xa
+            s += abs_c[j]
+        noise_done = np.abs(q) <= NOISE_FLOOR * s
+        if ((dq == 0.0) & ~noise_done & live).any():
+            raise ConvergenceError("stationary point hit before convergence")
+        dq_safe = np.where(dq == 0.0, 1.0, dq)
+        xn = xa - q / dq_safe
+        step = xn - xa
+        backstep = (step <= 0.0) & ~noise_done
+        if (backstep & live & (step < -_BACKSTEP * np.maximum(xa, 1.0))).any():
+            raise ConvergenceError("iterates left the monotone regime")
+        # negative steps inside the jitter band park at the previous iterate
+        xn = np.where(noise_done | backstep, xa, xn)
+        done = noise_done | backstep | (step <= NEWTON_TOL * xn)
+        np.copyto(xa, xn, where=live)
+        live &= ~done
+        nlive = np.count_nonzero(live)
+        if 2 * nlive <= m:
+            x[cols] = xa
+            if nlive == 0:
+                return x
+            cols, xa = cols[live], xa[live]
+            coeffs, abs_c = coeffs[:, live], abs_c[:, live]
+            live = np.ones(nlive, dtype=bool)
+    raise ConvergenceError(f"no convergence within {NEWTON_CAP} iterations")
+
+
 def unfiltered_scan_block(n: int, start: int, stop: int) -> search.PartialResult:
     """search.scan_block without its prefilter: every pattern is valued.
 
-    Chunks of search._CHUNK indices go through search._values_for in
-    turn, each keeping the running minimum and the indices within TIE_EPS
-    of it, so the result must equal scan_block's for every range.
+    Chunks of search._CHUNK indices go through batched_values in turn, each
+    keeping the running minimum and the indices within TIE_EPS of it, so the
+    result must equal scan_block's for every range.
     """
     ws = search._Workspace(n, min(search._CHUNK, max(stop - start, 0)))
     best = float("inf")
@@ -181,7 +293,7 @@ def unfiltered_scan_block(n: int, start: int, stop: int) -> search.PartialResult
     for lo in range(start, stop, search._CHUNK):
         idx = np.arange(lo, min(lo + search._CHUNK, stop), dtype=np.int64)
         count += idx.size
-        vals = search._values_for(n, idx, ws)
+        vals = batched_values(n, idx, ws)
         vmin = float(vals.min())
         if vmin < best:
             best = vmin

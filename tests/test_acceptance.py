@@ -26,7 +26,7 @@ from gramfloor.charpoly import (
     smallest_eigenvalue,
 )
 from gramfloor.cli import main
-from gramfloor.core import from_index, gram, mat_identity, mat_mul, to_dense, tri, y0
+from gramfloor.core import from_index, gram, mat_mul, to_dense, tri, y0
 from gramfloor.extremal import (
     domination_check,
     fibonacci,
@@ -42,7 +42,7 @@ from gramfloor.inverse import (
     invert_unit_lower,
 )
 from gramfloor.search import checkpoint_load, exhaustive_min, y0_index
-from oracles import faddeev_leverrier, spectral_radius_power_iteration
+from oracles import faddeev_leverrier, mat_identity, spectral_radius_power_iteration
 
 
 def _without_timing(report) -> dict:

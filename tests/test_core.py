@@ -15,9 +15,7 @@ from gramfloor.core import (
     from_index,
     gram,
     gram_factor,
-    index_of,
     lower_positions,
-    mat_identity,
     mat_mul,
     mat_transpose,
     row_masks,
@@ -25,6 +23,7 @@ from gramfloor.core import (
     tri,
     y0,
 )
+from oracles import index_of, mat_identity
 
 
 def test_tri_counts_strict_lower_positions():

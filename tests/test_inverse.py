@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gramfloor.core import from_index, gram, mat_identity, mat_mul, to_dense, tri, y0
+from gramfloor.core import from_index, gram, mat_mul, to_dense, tri, y0
 from gramfloor.extremal import fib_upto, y0_inverse_closed
 from gramfloor.inverse import (
     fibonacci_bound_holds,
@@ -14,7 +14,7 @@ from gramfloor.inverse import (
     invert_batch,
     invert_unit_lower,
 )
-from oracles import invert_via_nilpotent, nilpotent_band_check
+from oracles import invert_via_nilpotent, mat_identity, nilpotent_band_check
 
 
 def test_full_ones_inverse_frozen():

@@ -37,7 +37,7 @@ from gramfloor.search import (
     scan_block,
     y0_index,
 )
-from oracles import unfiltered_scan_block
+from oracles import batched_values, unfiltered_scan_block
 
 FROZEN_FLOORS = {
     1: 1.0,
@@ -98,10 +98,31 @@ def test_kernel_values_match_scalar_pipeline_bitwise(n):
     else:
         rng = random.Random(n)
         indices = [rng.randrange(total) for _ in range(400)] + [y0_index(n)]
+    # the kernel's values, and the batched reference of unfiltered_scan_block
     ws = search._Workspace(n, len(indices))
-    values = search._values_for(n, np.array(indices, dtype=np.int64), ws)
-    for i, value in zip(indices, values.tolist()):
-        assert value == smallest_eigenvalue(gram(from_index(n, i))), i
+    idx = np.array(indices, dtype=np.int64)
+    values = search._values_for(n, idx, ws).tolist()
+    reference = batched_values(n, idx, ws).tolist()
+    for i, value, ref in zip(indices, values, reference):
+        scalar = smallest_eigenvalue(gram(from_index(n, i)))
+        assert value == scalar and ref == scalar, i
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_kernel_refuses_a_non_unit_determinant(monkeypatch, n):
+    # adding n to p_n keeps every Newton-identity division exact but moves
+    # e_n off 1, which only the unit-determinant check then catches
+    real_power_sums = search._power_sums_for
+
+    def shifted(n, idx, ws):
+        p = real_power_sums(n, idx, ws)
+        p[n - 1] += n
+        return p
+
+    monkeypatch.setattr(search, "_power_sums_for", shifted)
+    ws = search._Workspace(n, 1)
+    with pytest.raises(ArithmeticError, match="unit determinant"):
+        search._values_for(n, np.array([y0_index(n)], dtype=np.int64), ws)
 
 
 @pytest.mark.parametrize("chunk", [7, 1 << 12, 1 << 14])
