@@ -30,12 +30,14 @@ its value is the scalar pipeline's by construction.
 
 The prefilter.  Most patterns of a chunk lie far above the block minimum,
 and a float32 Cholesky certifies that cheaply; only the other patterns are
-valued.  The threshold t is the running minimum once a pattern of the
-block has been valued.  Before that, on the block's first chunk, t is the
-least squared pivot of a Cholesky of Z at shift 0, taken with the rows in
-reversed order: the k-th squared pivot is 1 / (A_k^-1)_kk for the leading
-k x k block A_k, so at least lambda_min(A_k), which by interlacing is at
-least lambda_min(Z).  A pattern is dropped only when the float32 Cholesky
+valued.  The threshold t is always a value of the block: on the block's
+first chunk, scan_block values one pattern, the pick, and t is its value;
+from then on t is the running minimum.  The pick is the pattern whose
+Cholesky at shift 0 has the least squared pivot, a guess at the chunk's
+minimum that carries no proof.  The kernel factors J Z J, J the reversal
+of the rows, in place of Z: the two share their definiteness, determinant
+and traces, so nothing below changes, and the reversed pivots guess the
+minimum far better.  A pattern is dropped only when the float32 Cholesky
 of Z - sI, s = t + TIE_EPS + _MARGIN, has every pivot positive and a pivot
 product above _DET_GUARD * ((tr Z + n s) / n)^n.  Then:
 
@@ -56,14 +58,13 @@ product above _DET_GUARD * ((tr Z + n s) / n)^n.  Then:
     (lambda_min - x) / n, so no step-size stop falls more than a relative
     n * NEWTON_TOL under it either.
 
-So a dropped pattern's value exceeds t + TIE_EPS + _MARGIN / 2.  After the
-first chunk t is a value of the block, and no dropped pattern can be a new
-minimum or a near-tie.  On the first chunk, when nothing survives or the
-least survivor's value exceeds t + _MARGIN / 2, the whole chunk is valued;
-otherwise every dropped value is more than TIE_EPS above the chunk minimum.
-Either way scan_block returns, bit for bit, what valuing every pattern
-returns.  The exact-division check of newton_identities and the
-unit-determinant check of _values_for run on the valued patterns only.
+So a dropped pattern's value exceeds t + TIE_EPS + _MARGIN / 2.  As t is
+a value of the block, no dropped pattern can be a new minimum or a
+near-tie, and scan_block returns, bit for bit, what valuing every pattern
+returns.  The pick itself is never dropped, so it is valued again with the
+patterns the filter keeps.  The exact-division check of newton_identities
+and the unit-determinant check of _values_for run on the valued patterns
+only.
 
 The kernel works through a block in chunks of _CHUNK indices, small enough
 that a chunk's matrices stay in cache, and fills the same work buffers again
@@ -89,24 +90,23 @@ which a resume scans again.  The file records the Newton tolerance, always
 charpoly.NEWTON_TOL, and a file that records another one, from a build
 whose tolerance could be set, is refused.
 
-exhaustive_min runs one loop over the blocks for every worker count,
-through map, or with workers > 1 through the map of a process pool whose
-workers ignore SIGINT: a Ctrl-C in a terminal signals the whole process
-group, and a worker interrupted mid-block could leave the pool hung, so
-the main process alone stops the scan.  It stops at a block boundary:
-while the loop runs, a SIGINT is only recorded, and the loop raises
-KeyboardInterrupt after the next merged block (_sigint_between_blocks says
-why).  Both maps yield block results in the order the
-blocks were handed out, however far the workers run ahead.  On an abort
-the for statement drops the pool's result iterator, whose cleanup cancels
-every block still waiting; only those already in the workers' call queue,
-at most workers + 1, still run, and are discarded while the pool closes.
-So no other name may hold that iterator: while one does, the waiting
-blocks stay queued, and every one of them runs before the pool closes.
+exhaustive_min runs one loop over the blocks for every worker count: it
+hands them out in order through submit, a process pool's or, with one
+worker, _run_now, and merges the results in the same order.  While it
+waits for the oldest block, workers + 1 blocks are out on a pool, so a
+worker that finishes early finds the next one waiting; after an abort only
+the blocks still out, at most workers, run on while the pool closes, and
+are discarded.  The pool's workers ignore SIGINT: a Ctrl-C in a terminal
+signals the whole process group, and a worker interrupted mid-block could
+leave the pool hung, so the main process alone stops the scan.  It stops
+at a block boundary: while the loop runs, a SIGINT is only recorded, and
+the loop raises KeyboardInterrupt after the next merged block
+(_sigint_between_blocks says why).
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import dataclasses
 import itertools
@@ -117,7 +117,7 @@ import signal
 import tempfile
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -249,15 +249,9 @@ class _Workspace:
         sym = np.empty((n, n), dtype=np.intp)
         sym[upper_i, upper_j] = sym[upper_j, upper_i] = np.arange(self.npairs)
         self.sym = sym.ravel()
-        # Z with its rows and columns in reversed order, packed as Z is:
-        # entry (a, b), a >= b, of J Z J is pair (n-1-a, n-1-b)
-        self.reversed = np.array(
-            [self.pair_start[n - 1 - a] + a - b for b in range(n) for a in range(b, n)]
-        )
         self.masks = np.empty(n * size, dtype=np.int64)
         self.pairs = np.empty(self.npairs * size, dtype=np.int64)
         self.counts = np.empty(self.npairs * size, dtype=np.uint8)
-        self.gathered = np.empty(self.npairs * size, dtype=np.uint8)
         self.factor = np.empty(self.npairs * size, dtype=np.float32)
         self.pivots = np.empty(n * size, dtype=np.float32)
         self.column = np.empty(n * size, dtype=np.float32)
@@ -267,14 +261,15 @@ class _Workspace:
         self.p = np.empty(n * size)
 
     def pair_counts(self, idx: np.ndarray) -> np.ndarray:
-        """popcount(row_i & row_j) for every row pair i <= j, as (npairs, B).
+        """Entries i <= j of J Z J, J the row reversal, as (npairs, B).
 
-        Row i's pairs start at pair_start[i]; read by symmetry, the same
-        array is Z's lower triangle packed by columns, column j holding
-        entries (j .. n-1, j).
+        Entry (i, j) is popcount(row_a & row_b) for rows a = n-1-i and
+        b = n-1-j.  Row i's pairs start at pair_start[i]; read by symmetry,
+        the same array is J Z J's lower triangle packed by columns, column j
+        holding entries (j .. n-1, j).
         """
         n, bsz = self.n, idx.shape[0]
-        masks = row_masks(n, idx, out=_part(self.masks, n, bsz))
+        masks = row_masks(n, idx, out=_part(self.masks, n, bsz))[::-1]
         pairs = _part(self.pairs, self.npairs, bsz)
         for i in range(n):
             lo, hi = self.pair_start[i], self.pair_start[i + 1]
@@ -284,10 +279,11 @@ class _Workspace:
         return counts
 
     def gram(self, idx: np.ndarray) -> np.ndarray:
-        """Z = Y Y^T for a batch of packed indices, as a C-ordered (B, n, n) view.
+        """J Z J for a batch of packed indices, as a C-ordered (B, n, n) view.
 
-        Z_ij = popcount(row_i & row_j) over the row bitmasks, unit diagonal
-        included, as core.gram computes it for one pattern.
+        Z = Y Y^T is core.gram's matrix, Z_ij = popcount(row_i & row_j) over
+        the row bitmasks, unit diagonal included, and J the row reversal; the
+        traces of its powers are Z's.
         """
         n, bsz = self.n, idx.shape[0]
         counts = self.pair_counts(idx)
@@ -299,20 +295,16 @@ class _Workspace:
         z.reshape(bsz, n * n)[...] = square.T
         return z
 
-    def cholesky(self, counts: np.ndarray, shift: float, reverse: bool = False) -> np.ndarray:
-        """Squared pivots of a float32 Cholesky of Z - shift I, as (n, B).
+    def cholesky(self, counts: np.ndarray, shift: float) -> np.ndarray:
+        """Squared pivots of a float32 Cholesky of J Z J - shift I, as (n, B).
 
-        ``counts`` is a batch of pair_counts; with ``reverse`` the rows and
-        columns of Z are taken in reversed order.  A pattern whose factor
-        breaks down gets a pivot that is not positive, or NaN, from the
-        first failing column on.
+        ``counts`` is a batch of pair_counts.  A pattern whose factor breaks
+        down gets a pivot that is not positive, or NaN, from the first
+        failing column on.
         """
         n, bsz = self.n, counts.shape[1]
         start = self.pair_start
         a = _part(self.factor, self.npairs, bsz)
-        if reverse:
-            counts = np.take(counts, self.reversed, axis=0,
-                             out=_part(self.gathered, self.npairs, bsz), mode="clip")
         np.copyto(a, counts)
         a[start[:n]] -= np.float32(shift)
         piv = _part(self.pivots, n, bsz)
@@ -403,22 +395,18 @@ def scan_block(n: int, start: int, stop: int) -> PartialResult:
         idx = np.arange(lo, hi, dtype=np.int64)
         count += idx.size
         counts = ws.pair_counts(idx)
-        first = best == float("inf")
-        if first:
-            # every squared pivot is at least the least eigenvalue, so the
-            # least one of the chunk bounds the chunk's minimum from above;
-            # one that float32 rounding left nonpositive, or NaN, gives 0
-            t = float(ws.cholesky(counts, 0.0, reverse=True).min())
-            t = t if t > 0.0 else 0.0
-        else:
-            t = best
-        kept = idx[_reachable(ws, counts, t)]
-        if kept.size:
-            vals = _values_for(n, kept, ws)
-        elif not first:
+        if best == float("inf"):
+            # seed the threshold with a value of the block: that of the
+            # pattern with the least squared pivot at shift 0, a guess at
+            # the chunk's minimum.  Valuing it refills the workspace, so
+            # the chunk's counts are computed again
+            pick = int(ws.cholesky(counts, 0.0).min(axis=0).argmin())
+            best = float(_values_for(n, idx[pick:pick + 1], ws)[0])
+            counts = ws.pair_counts(idx)
+        kept = idx[_reachable(ws, counts, best)]
+        if not kept.size:
             continue
-        if first and not (kept.size and vals.min() <= t + _MARGIN / 2):
-            kept, vals = idx, _values_for(n, idx, ws)
+        vals = _values_for(n, kept, ws)
         vmin = float(vals.min())
         if vmin < best:
             best = vmin
@@ -559,6 +547,13 @@ def _adjudicate(n: int, candidates: Iterable[tuple[int, float]]) -> tuple[int, .
     return tuple(best)
 
 
+def _run_now(fn: Callable, *args) -> Future:
+    """fn(*args), called at once and returned as a finished future."""
+    future: Future = Future()
+    future.set_result(fn(*args))
+    return future
+
+
 @contextlib.contextmanager
 def _sigint_between_blocks():
     """Defer a SIGINT that arrives during the scan to the next merged block.
@@ -667,8 +662,8 @@ def exhaustive_min(
                 if idx < covered:
                     state = merge_partials(state, scan_block(n, idx, idx + 1))
             state = PartialResult(covered, state.best, state.candidates)
-        # one loop for every worker count; the module notes say why no name
-        # may hold the iterator that map returns
+        # one loop for every worker count, with ``ahead`` blocks out while
+        # it waits for the oldest; the module notes say why
         with _sigint_between_blocks() as check_interrupt, (
             ProcessPoolExecutor(
                 max_workers=workers,
@@ -678,12 +673,13 @@ def exhaustive_min(
             if workers > 1
             else contextlib.nullcontext()
         ) as pool:
-            starts = [start for start, _ in blocks[done:]]
-            stops = [stop for _, stop in blocks[done:]]
-            for result in (pool.map if pool else map)(
-                scan_block, itertools.repeat(n), starts, stops
-            ):
-                note_done(result)
+            submit, ahead = (pool.submit, workers + 1) if pool else (_run_now, 1)
+            rest = blocks[done:]
+            pending: collections.deque[Future] = collections.deque()
+            for i in range(len(rest)):
+                for start, stop in rest[i + len(pending):i + ahead]:
+                    pending.append(submit(scan_block, n, start, stop))
+                note_done(pending.popleft().result())
                 check_interrupt()
     finally:
         # every way out leaves the file holding the merged blocks, and this

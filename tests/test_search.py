@@ -231,16 +231,27 @@ def test_margin_covers_twice_the_cholesky_error():
         assert search._MARGIN > 2 * e, n
 
 
-@pytest.mark.parametrize("shift", [-0.5, -0.05, -1e-3, 1e-3, 0.5])
-def test_first_chunk_threshold_only_steers_the_filter(monkeypatch, shift):
-    # the first chunk's threshold t comes from a factorization at shift 0;
-    # a t too low must send the whole chunk through the Newton pipeline,
-    # one too high only keeps more patterns, and the result never moves
+@pytest.mark.parametrize("pick", ["negated", "first", "last", "breakdown"])
+def test_pick_only_steers_the_filter(monkeypatch, pick):
+    # a block's threshold starts at the value of one pattern, the one whose
+    # Cholesky at shift 0 has the least squared pivot; steered to a pattern
+    # the pivots rank last, to a fixed position of the chunk, or to one
+    # whose factor broke down, the pick costs only valued patterns, and the
+    # result never moves
     real_cholesky = search._Workspace.cholesky
 
-    def shifted(self, counts, s, reverse=False):
-        piv = real_cholesky(self, counts, s, reverse)
-        return piv + np.float32(shift) if reverse else piv
+    def steered(self, counts, s):
+        piv = real_cholesky(self, counts, s)
+        if s != 0.0:
+            return piv
+        if pick == "negated":
+            return -piv
+        if pick == "breakdown":
+            piv[1:, piv.shape[1] // 2] = np.nan
+            return piv
+        fixed = np.zeros_like(piv)
+        fixed[:, 0 if pick == "first" else -1] = -1.0
+        return fixed
 
     valued = []
     real_values = search._values_for
@@ -254,12 +265,37 @@ def test_first_chunk_threshold_only_steers_the_filter(monkeypatch, shift):
         blocks = partition(n, 4 * chunk)[:16]
         expected = [unfiltered_scan_block(n, start, stop) for start, stop in blocks]
         with monkeypatch.context() as patch:
-            patch.setattr(search._Workspace, "cholesky", shifted)
+            patch.setattr(search._Workspace, "cholesky", steered)
             patch.setattr(search, "_values_for", counted)
-            assert [scan_block(n, start, stop) for start, stop in blocks] == expected
-    if shift <= -0.05:
-        # no n = 7 chunk then has a survivor at or under t + _MARGIN / 2
-        assert 4096 in valued
+            for (start, stop), want in zip(blocks, expected):
+                valued.clear()
+                assert scan_block(n, start, stop) == want, (n, start)
+                # the pick alone, then the patterns the filter keeps
+                assert valued[0] == 1, (n, start, valued)
+
+
+def test_filter_reads_the_counts_of_its_chunk(monkeypatch):
+    # valuing the pick refills the workspace's buffers, the counts among
+    # them, so the filter must read counts computed after it
+    counted = []
+    real_pair_counts = search._Workspace.pair_counts
+
+    def recorded(self, idx):
+        counted.append(idx.copy())
+        return real_pair_counts(self, idx)
+
+    real_reachable = search._reachable
+
+    def checked(ws, counts, t):
+        own = real_pair_counts(search._Workspace(ws.n, counted[-1].size), counted[-1])
+        assert np.array_equal(counts, own)
+        return real_reachable(ws, counts, t)
+
+    monkeypatch.setattr(search._Workspace, "pair_counts", recorded)
+    monkeypatch.setattr(search, "_reachable", checked)
+    monkeypatch.setattr(search, "_CHUNK", 64)
+    for start, stop in partition(6, 256)[:8]:
+        assert scan_block(6, start, stop) == unfiltered_scan_block(6, start, stop)
 
 
 def test_scan_block_refuses_sizes_beyond_exactness_bound():
