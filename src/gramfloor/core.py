@@ -60,13 +60,12 @@ class LowerUnitMatrix:
         return ((self.bits >> tri(i)) & ((1 << i) - 1)) | (1 << i)
 
 
-def row_masks(n: int, idx: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def row_masks(n: int, idx: np.ndarray) -> np.ndarray:
     """Row bitmasks of a batch of packed int64 indices, unit diagonal included.
 
     The batched twin of LowerUnitMatrix.row_mask: entry (i, b) is row i of
-    pattern idx[b], shape (n, B) int64, written to ``out`` when given.  An
-    int64 holds tri(n) <= 63 packed positions, so n <= 11; larger sizes
-    raise ValueError.
+    pattern idx[b], shape (n, B) int64.  An int64 holds tri(n) <= 63 packed
+    positions, so n <= 11; larger sizes raise ValueError.
     """
     if tri(n) > 63:
         raise ValueError(
@@ -74,7 +73,7 @@ def row_masks(n: int, idx: np.ndarray, out: np.ndarray | None = None) -> np.ndar
             f"n = {n} needs {tri(n)}"
         )
     rows = np.arange(n, dtype=np.int64)[:, None]
-    masks = np.right_shift(idx, rows * (rows - 1) // 2, out=out)
+    masks = np.right_shift(idx, rows * (rows - 1) // 2)
     masks &= (1 << rows) - 1
     masks |= 1 << rows
     return masks

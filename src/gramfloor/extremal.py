@@ -15,14 +15,8 @@ satisfy trace(|Z0^-1|^k) = trace((Z0^-1)^k).  All checks here are exact.
 
 from __future__ import annotations
 
-from .core import (
-    GramMatrix,
-    IntegerMatrix,
-    gram_factor,
-    mat_abs,
-    mat_mul,
-    mat_trace,
-)
+from .charpoly import power_sums
+from .core import GramMatrix, IntegerMatrix, gram_factor, mat_abs
 from .inverse import BoundWitness, gram_inverse
 
 
@@ -112,11 +106,4 @@ def trace_equality_check(n: int) -> bool:
     absolute value, which is what makes the alternating pattern extremal.
     """
     signed = z0_inverse_closed(n)
-    unsigned = mat_abs(signed)
-    ps, pu = signed, unsigned
-    for _ in range(n):
-        if mat_trace(ps) != mat_trace(pu):
-            return False
-        ps = mat_mul(ps, signed)
-        pu = mat_mul(pu, unsigned)
-    return True
+    return power_sums(signed) == power_sums(mat_abs(signed))

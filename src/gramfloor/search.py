@@ -67,15 +67,9 @@ and the unit-determinant check of _values_for run on the valued patterns
 only.
 
 The kernel works through a block in chunks of _CHUNK indices, small enough
-that a chunk's matrices stay in cache, and fills the same work buffers again
-for every chunk.  Fresh arrays are each large enough to be mapped from the
-kernel and faulted in page by page, which cost more time than the arithmetic
-they hold; so each thread keeps one workspace across scan_block calls and
-makes a new one only when n changes or a call needs larger buffers.  Nothing
-is carried from one call to the next but the buffers: every value is written
-before it is read.  exhaustive_min drops its thread's workspace when it
-returns, so a process holds no buffers after a scan; a pool worker keeps its
-own for every block it scans.
+that a chunk's matrices stay in cache.  Each step of the kernel allocates
+the arrays it returns, so nothing passes from one chunk, call or thread to
+another but the read-only _layout of each n.
 
 A checkpoint holds the finished blocks as sorted [start, stop) runs of block
 ids.  The driver merges block results in the order the blocks were handed
@@ -109,9 +103,9 @@ from __future__ import annotations
 import collections
 import contextlib
 import dataclasses
+import functools
 import itertools
 import json
-import math
 import os
 import signal
 import tempfile
@@ -222,119 +216,83 @@ def partition(n: int, block_size: int) -> list[tuple[int, int]]:
 _POPCOUNT = np.array([bin(v).count("1") for v in range(1 << SEARCH_N_MAX)], dtype=np.uint8)
 
 
-def _part(buf: np.ndarray, *shape: int) -> np.ndarray:
-    """The leading elements of a flat buffer, as a C-ordered array of ``shape``."""
-    return buf[: math.prod(shape)].reshape(shape)
+@functools.cache
+def _layout(n: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """Where the kernel keeps the entries of a size-n Gram matrix.
 
-
-class _Workspace:
-    """Work buffers of the kernel for batches of up to ``size`` indices.
-
-    One workspace serves every chunk of the scan_block calls of one thread;
-    the module notes say why the buffers are reused.
+    Returns pair_start and sym.  The pair counts hold one popcount per row
+    pair i <= j, the pairs of row i from pair_start[i] to pair_start[i + 1];
+    sym maps entry (i, j) of Z, flattened, to its pair.  Sizes beyond
+    SEARCH_N_MAX raise ValueError.
     """
-
-    def __init__(self, n: int, size: int) -> None:
-        # the 2^53 bound of the exactness notes, raised rather than asserted
-        # so that it holds under python -O as well
-        if not 1 <= n <= SEARCH_N_MAX:
-            raise ValueError(f"exhaustive scan supports 1 <= n <= {SEARCH_N_MAX}, got {n}")
-        self.n = n
-        self.size = size
-        # one popcount per row pair i <= j, the pairs of row i from
-        # pair_start[i]; sym maps entry (i, j) of Z to its pair
-        upper_i, upper_j = np.triu_indices(n)
-        self.npairs = upper_i.size
-        self.pair_start = [0, *itertools.accumulate(range(n, 0, -1))]
-        sym = np.empty((n, n), dtype=np.intp)
-        sym[upper_i, upper_j] = sym[upper_j, upper_i] = np.arange(self.npairs)
-        self.sym = sym.ravel()
-        self.masks = np.empty(n * size, dtype=np.int64)
-        self.pairs = np.empty(self.npairs * size, dtype=np.int64)
-        self.counts = np.empty(self.npairs * size, dtype=np.uint8)
-        self.factor = np.empty(self.npairs * size, dtype=np.float32)
-        self.pivots = np.empty(n * size, dtype=np.float32)
-        self.column = np.empty(n * size, dtype=np.float32)
-        self.square = np.empty(n * n * size, dtype=np.uint8)
-        # Z^1 .. Z^ceil(n/2)
-        self.pows = [np.empty(n * n * size) for _ in range((n + 1) // 2)]
-        self.p = np.empty(n * size)
-
-    def pair_counts(self, idx: np.ndarray) -> np.ndarray:
-        """Entries i <= j of J Z J, J the row reversal, as (npairs, B).
-
-        Entry (i, j) is popcount(row_a & row_b) for rows a = n-1-i and
-        b = n-1-j.  Row i's pairs start at pair_start[i]; read by symmetry,
-        the same array is J Z J's lower triangle packed by columns, column j
-        holding entries (j .. n-1, j).
-        """
-        n, bsz = self.n, idx.shape[0]
-        masks = row_masks(n, idx, out=_part(self.masks, n, bsz))[::-1]
-        pairs = _part(self.pairs, self.npairs, bsz)
-        for i in range(n):
-            lo, hi = self.pair_start[i], self.pair_start[i + 1]
-            np.bitwise_and(masks[i], masks[i:], out=pairs[lo:hi])
-        counts = _part(self.counts, self.npairs, bsz)
-        np.take(_POPCOUNT, pairs, out=counts, mode="clip")
-        return counts
-
-    def gram(self, idx: np.ndarray) -> np.ndarray:
-        """J Z J for a batch of packed indices, as a C-ordered (B, n, n) view.
-
-        Z = Y Y^T is core.gram's matrix, Z_ij = popcount(row_i & row_j) over
-        the row bitmasks, unit diagonal included, and J the row reversal; the
-        traces of its powers are Z's.
-        """
-        n, bsz = self.n, idx.shape[0]
-        counts = self.pair_counts(idx)
-        square = _part(self.square, n * n, bsz)
-        np.take(counts, self.sym, axis=0, out=square, mode="clip")
-        # the batched matmul runs several times slower on a Fortran-ordered
-        # stack, so the transpose is copied into C order here
-        z = _part(self.pows[0], bsz, n, n)
-        z.reshape(bsz, n * n)[...] = square.T
-        return z
-
-    def cholesky(self, counts: np.ndarray, shift: float) -> np.ndarray:
-        """Squared pivots of a float32 Cholesky of J Z J - shift I, as (n, B).
-
-        ``counts`` is a batch of pair_counts.  A pattern whose factor breaks
-        down gets a pivot that is not positive, or NaN, from the first
-        failing column on.
-        """
-        n, bsz = self.n, counts.shape[1]
-        start = self.pair_start
-        a = _part(self.factor, self.npairs, bsz)
-        np.copyto(a, counts)
-        a[start[:n]] -= np.float32(shift)
-        piv = _part(self.pivots, n, bsz)
-        tmp = _part(self.column, n, bsz)
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            for j in range(n):
-                col = a[start[j]:start[j + 1]]
-                piv[j] = col[0]
-                np.sqrt(col[0], out=col[0])
-                col[1:] /= col[0]
-                for k in range(j + 1, n):
-                    below = tmp[: n - k]
-                    np.multiply(col[k - j:], col[k - j], out=below)
-                    a[start[k]:start[k + 1]] -= below
-        return piv
+    # the 2^53 bound of the exactness notes, raised rather than asserted
+    # so that it holds under python -O as well
+    if not 1 <= n <= SEARCH_N_MAX:
+        raise ValueError(f"exhaustive scan supports 1 <= n <= {SEARCH_N_MAX}, got {n}")
+    upper_i, upper_j = np.triu_indices(n)
+    sym = np.empty((n, n), dtype=np.intp)
+    sym[upper_i, upper_j] = sym[upper_j, upper_i] = np.arange(upper_i.size)
+    sym = sym.ravel()
+    sym.flags.writeable = False  # one array for every caller
+    return (0, *itertools.accumulate(range(n, 0, -1))), sym
 
 
-def _power_sums_for(n: int, idx: np.ndarray, ws: _Workspace) -> np.ndarray:
+def _pair_counts(n: int, idx: np.ndarray) -> np.ndarray:
+    """Entries i <= j of J Z J, J the row reversal, as (npairs, B) uint8.
+
+    Entry (i, j) is popcount(row_a & row_b) for rows a = n-1-i and
+    b = n-1-j.  Row i's pairs start at pair_start[i]; read by symmetry,
+    the same array is J Z J's lower triangle packed by columns, column j
+    holding entries (j .. n-1, j).
+    """
+    pair_start, _ = _layout(n)
+    masks = row_masks(n, idx)[::-1]
+    pairs = np.empty((pair_start[n], idx.shape[0]), dtype=np.int64)
+    for i in range(n):
+        np.bitwise_and(masks[i], masks[i:], out=pairs[pair_start[i]:pair_start[i + 1]])
+    return np.take(_POPCOUNT, pairs, mode="clip")
+
+
+def _cholesky(n: int, counts: np.ndarray, shift: float) -> np.ndarray:
+    """Squared pivots of a float32 Cholesky of J Z J - shift I, as (n, B).
+
+    ``counts`` is a batch of _pair_counts.  A pattern whose factor breaks
+    down gets a pivot that is not positive, or NaN, from the first failing
+    column on.
+    """
+    start, _ = _layout(n)
+    a = counts.astype(np.float32)
+    a[start[:n], :] -= np.float32(shift)
+    piv = np.empty((n, counts.shape[1]), dtype=np.float32)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for j in range(n):
+            col = a[start[j]:start[j + 1]]
+            piv[j] = col[0]
+            np.sqrt(col[0], out=col[0])
+            col[1:] /= col[0]
+            for k in range(j + 1, n):
+                a[start[k]:start[k + 1]] -= col[k - j:] * col[k - j]
+    return piv
+
+
+def _power_sums_for(n: int, idx: np.ndarray) -> np.ndarray:
     """Power sums p_1 .. p_n of a batch of packed indices, as (n, B) float64.
 
-    Row k - 1 holds trace(Z^k), an exact integer.  ``ws`` lends its buffers.
+    Row k - 1 holds trace(Z^k), an exact integer.  The powers are those of
+    J Z J, from _pair_counts, whose traces are Z's.
     """
+    _, sym = _layout(n)
     bsz = idx.shape[0]
+    # the batched matmul runs several times slower on a Fortran-ordered
+    # stack, so the transpose is copied into C order here
+    z = _pair_counts(n, idx)[sym].T.astype(np.float64, order="C").reshape(bsz, n, n)
     half = (n + 1) // 2
-    pows = [None, ws.gram(idx)]
-    for k in range(2, half + 1):
-        pows.append(np.matmul(pows[-1], pows[1], out=_part(ws.pows[k - 1], bsz, n, n)))
+    pows = [None, z]
+    for _ in range(2, half + 1):
+        pows.append(np.matmul(pows[-1], z))
     # all power sums are bounded by n * (n(n+1)/2)^n < 2^53 for n <= 9,
     # so the float64 traces are exact integers
-    p = _part(ws.p, n, bsz)
+    p = np.empty((n, bsz))
     for k in range(1, n + 1):
         if k <= half:
             np.einsum("bii->b", pows[k], out=p[k - 1])
@@ -343,14 +301,14 @@ def _power_sums_for(n: int, idx: np.ndarray, ws: _Workspace) -> np.ndarray:
     return p
 
 
-def _values_for(n: int, idx: np.ndarray, ws: _Workspace) -> np.ndarray:
+def _values_for(n: int, idx: np.ndarray) -> np.ndarray:
     """Least Gram eigenvalues for a batch of packed indices.
 
     Each pattern's power sums go through the scalar pipeline's Newton
-    identities and Newton walk.  ``ws`` lends its buffers.
+    identities and Newton walk.
     """
     values = np.empty(idx.shape[0])
-    for b, col in enumerate(_power_sums_for(n, idx, ws).T.tolist()):
+    for b, col in enumerate(_power_sums_for(n, idx).T.tolist()):
         cp = newton_identities(PowerSums(n, tuple(map(int, col))))
         if cp.e[-1] != 1:
             raise ArithmeticError("unit determinant violated in scan kernel")
@@ -358,22 +316,19 @@ def _values_for(n: int, idx: np.ndarray, ws: _Workspace) -> np.ndarray:
     return values
 
 
-# the workspace of each thread, kept between scan_block calls
-_per_thread = threading.local()
-
-
-def _reachable(ws: _Workspace, counts: np.ndarray, t: float) -> np.ndarray:
+def _reachable(n: int, counts: np.ndarray, t: float) -> np.ndarray:
     """Mask of the patterns whose value the filter cannot place above t + TIE_EPS.
 
-    A pattern is excluded only when the float32 Cholesky of Z - sI, with
-    s = t + TIE_EPS + _MARGIN, has every pivot positive and a pivot product
-    above _DET_GUARD * ((tr Z + n s) / n)^n; the module notes show that its
-    value then exceeds t + TIE_EPS + _MARGIN / 2.
+    ``counts`` is a batch of _pair_counts.  A pattern is excluded only when
+    the float32 Cholesky of Z - sI, with s = t + TIE_EPS + _MARGIN, has
+    every pivot positive and a pivot product above _DET_GUARD * ((tr Z +
+    n s) / n)^n; the module notes show that its value then exceeds t +
+    TIE_EPS + _MARGIN / 2.
     """
-    n = ws.n
+    pair_start, _ = _layout(n)
     s = t + TIE_EPS + _MARGIN
-    piv = ws.cholesky(counts, s)
-    trace = counts[ws.pair_start[:n]].sum(axis=0, dtype=np.float32)
+    piv = _cholesky(n, counts, s)
+    trace = counts[pair_start[:n], :].sum(axis=0, dtype=np.float32)
     floor = _DET_GUARD * ((trace + np.float32(n * s)) / np.float32(n)) ** n
     with np.errstate(invalid="ignore", over="ignore"):
         certified = (piv > 0).all(axis=0) & (piv.prod(axis=0) > floor)
@@ -382,11 +337,7 @@ def _reachable(ws: _Workspace, counts: np.ndarray, t: float) -> np.ndarray:
 
 def scan_block(n: int, start: int, stop: int) -> PartialResult:
     """Scan one contiguous index range; returns its minimum and near-ties."""
-    size = min(_CHUNK, max(stop - start, 0))
-    ws = getattr(_per_thread, "workspace", None)
-    if ws is None or ws.n != n or ws.size < size:
-        _per_thread.workspace = ws = None  # free the old buffers before allocating
-        _per_thread.workspace = ws = _Workspace(n, size)
+    _layout(n)  # refuses a size beyond the exactness bound, even for no indices
     best = float("inf")
     cands: list[tuple[int, float]] = []
     count = 0
@@ -394,19 +345,17 @@ def scan_block(n: int, start: int, stop: int) -> PartialResult:
         hi = min(lo + _CHUNK, stop)
         idx = np.arange(lo, hi, dtype=np.int64)
         count += idx.size
-        counts = ws.pair_counts(idx)
+        counts = _pair_counts(n, idx)
         if best == float("inf"):
             # seed the threshold with a value of the block: that of the
             # pattern with the least squared pivot at shift 0, a guess at
-            # the chunk's minimum.  Valuing it refills the workspace, so
-            # the chunk's counts are computed again
-            pick = int(ws.cholesky(counts, 0.0).min(axis=0).argmin())
-            best = float(_values_for(n, idx[pick:pick + 1], ws)[0])
-            counts = ws.pair_counts(idx)
-        kept = idx[_reachable(ws, counts, best)]
+            # the chunk's minimum
+            pick = int(_cholesky(n, counts, 0.0).min(axis=0).argmin())
+            best = float(_values_for(n, idx[pick:pick + 1])[0])
+        kept = idx[_reachable(n, counts, best)]
         if not kept.size:
             continue
-        vals = _values_for(n, kept, ws)
+        vals = _values_for(n, kept)
         vmin = float(vals.min())
         if vmin < best:
             best = vmin
@@ -682,9 +631,7 @@ def exhaustive_min(
                 note_done(pending.popleft().result())
                 check_interrupt()
     finally:
-        # every way out leaves the file holding the merged blocks, and this
-        # process holding no kernel buffers
-        _per_thread.workspace = None
+        # every way out leaves the file holding the merged blocks
         if ck is not None and done != saved:
             save()
 

@@ -188,7 +188,7 @@ def nilpotent_band_check(y: LowerUnitMatrix, k: int) -> bool:
     )
 
 
-def batched_values(n: int, idx: np.ndarray, ws: search._Workspace) -> np.ndarray:
+def batched_values(n: int, idx: np.ndarray) -> np.ndarray:
     """Least Gram eigenvalues for a batch of packed indices, vectorized.
 
     search._power_sums_for's exact power sums go through Newton's
@@ -199,7 +199,7 @@ def batched_values(n: int, idx: np.ndarray, ws: search._Workspace) -> np.ndarray
     """
     bsz = idx.shape[0]
     p = np.empty((n + 1, bsz), dtype=np.int64)
-    p[1:] = search._power_sums_for(n, idx, ws)
+    p[1:] = search._power_sums_for(n, idx)
     e = np.empty((n + 1, bsz), dtype=np.int64)
     prod = np.empty(bsz, dtype=np.int64)
     e[0] = 1
@@ -286,14 +286,13 @@ def unfiltered_scan_block(n: int, start: int, stop: int) -> search.PartialResult
     keeping the running minimum and the indices within TIE_EPS of it, so the
     result must equal scan_block's for every range.
     """
-    ws = search._Workspace(n, min(search._CHUNK, max(stop - start, 0)))
     best = float("inf")
     cands: list[tuple[int, float]] = []
     count = 0
     for lo in range(start, stop, search._CHUNK):
         idx = np.arange(lo, min(lo + search._CHUNK, stop), dtype=np.int64)
         count += idx.size
-        vals = batched_values(n, idx, ws)
+        vals = batched_values(n, idx)
         vmin = float(vals.min())
         if vmin < best:
             best = vmin

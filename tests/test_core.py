@@ -166,8 +166,8 @@ def test_row_masks_match_row_mask(n):
         rng = random.Random(n)
         indices = [rng.randrange(total) for _ in range(300)] + [total - 1]
     idx = np.array(indices, dtype=np.int64)
-    out = np.empty((n, idx.size), dtype=np.int64)
-    assert row_masks(n, idx, out=out) is out
+    out = row_masks(n, idx)
+    assert out.shape == (n, idx.size) and out.dtype == np.int64
     for b, i in enumerate(indices):
         y = from_index(n, i)
         assert out[:, b].tolist() == [y.row_mask(r) for r in range(n)], i

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gramfloor import extremal
 from gramfloor.core import (
+    IntegerMatrix,
     from_index,
     gram,
     mat_abs,
@@ -77,6 +79,22 @@ def test_sign_pattern_rejects_zero_entry():
 def test_trace_equality():
     for n in range(1, 13):
         assert trace_equality_check(n)
+
+
+def test_trace_equality_rejects_one_flipped_pair(monkeypatch):
+    # Z0^-1 with the signs of entries (0, 2) and (2, 0) flipped: |M| stays
+    # |Z0^-1|, but the products round the triangles (0, 2, j) turn negative,
+    # so trace(M^3) falls below trace(|M|^3)
+    real = extremal.z0_inverse_closed
+
+    def flipped(n):
+        rows = [list(row) for row in real(n).entries]
+        rows[0][2] = rows[2][0] = -rows[0][2]
+        return IntegerMatrix(n, tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(extremal, "z0_inverse_closed", flipped)
+    for n in range(3, 13):
+        assert not trace_equality_check(n), n
 
 
 def test_domination_exhaustive_small():

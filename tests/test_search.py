@@ -99,10 +99,9 @@ def test_kernel_values_match_scalar_pipeline_bitwise(n):
         rng = random.Random(n)
         indices = [rng.randrange(total) for _ in range(400)] + [y0_index(n)]
     # the kernel's values, and the batched reference of unfiltered_scan_block
-    ws = search._Workspace(n, len(indices))
     idx = np.array(indices, dtype=np.int64)
-    values = search._values_for(n, idx, ws).tolist()
-    reference = batched_values(n, idx, ws).tolist()
+    values = search._values_for(n, idx).tolist()
+    reference = batched_values(n, idx).tolist()
     for i, value, ref in zip(indices, values, reference):
         scalar = smallest_eigenvalue(gram(from_index(n, i)))
         assert value == scalar and ref == scalar, i
@@ -114,15 +113,14 @@ def test_kernel_refuses_a_non_unit_determinant(monkeypatch, n):
     # e_n off 1, which only the unit-determinant check then catches
     real_power_sums = search._power_sums_for
 
-    def shifted(n, idx, ws):
-        p = real_power_sums(n, idx, ws)
+    def shifted(n, idx):
+        p = real_power_sums(n, idx)
         p[n - 1] += n
         return p
 
     monkeypatch.setattr(search, "_power_sums_for", shifted)
-    ws = search._Workspace(n, 1)
     with pytest.raises(ArithmeticError, match="unit determinant"):
-        search._values_for(n, np.array([y0_index(n)], dtype=np.int64), ws)
+        search._values_for(n, np.array([y0_index(n)], dtype=np.int64))
 
 
 @pytest.mark.parametrize("chunk", [7, 1 << 12, 1 << 14])
@@ -204,18 +202,16 @@ def test_prefilter_keeps_multiple_eigenvalue_patterns(n, index):
     # at t = its own value the pattern must be valued; the Cholesky alone
     # would place it above t, and only the determinant guard keeps it
     value = smallest_eigenvalue(gram(from_index(n, index)))
-    ws = search._Workspace(n, 1)
-    counts = ws.pair_counts(np.array([index], dtype=np.int64))
-    assert search._reachable(ws, counts, value)[0]
+    counts = search._pair_counts(n, np.array([index], dtype=np.int64))
+    assert search._reachable(n, counts, value)[0]
 
 
 @pytest.mark.parametrize("n", range(2, 10))
 def test_prefilter_drops_patterns_clearly_above_the_threshold(n):
-    ws = search._Workspace(n, 1)
-    counts = ws.pair_counts(np.array([y0_index(n)], dtype=np.int64))
+    counts = search._pair_counts(n, np.array([y0_index(n)], dtype=np.int64))
     z0 = smallest_eigenvalue(gram(y0(n)))
-    assert not search._reachable(ws, counts, z0 - 1e-3)[0]
-    assert search._reachable(ws, counts, z0 - search._MARGIN / 4)[0]
+    assert not search._reachable(n, counts, z0 - 1e-3)[0]
+    assert search._reachable(n, counts, z0 - search._MARGIN / 4)[0]
 
 
 def test_margin_covers_twice_the_cholesky_error():
@@ -238,10 +234,10 @@ def test_pick_only_steers_the_filter(monkeypatch, pick):
     # the pivots rank last, to a fixed position of the chunk, or to one
     # whose factor broke down, the pick costs only valued patterns, and the
     # result never moves
-    real_cholesky = search._Workspace.cholesky
+    real_cholesky = search._cholesky
 
-    def steered(self, counts, s):
-        piv = real_cholesky(self, counts, s)
+    def steered(n, counts, s):
+        piv = real_cholesky(n, counts, s)
         if s != 0.0:
             return piv
         if pick == "negated":
@@ -256,16 +252,16 @@ def test_pick_only_steers_the_filter(monkeypatch, pick):
     valued = []
     real_values = search._values_for
 
-    def counted(n, idx, ws):
+    def counted(n, idx):
         valued.append(idx.size)
-        return real_values(n, idx, ws)
+        return real_values(n, idx)
 
     for n, chunk in ((5, 64), (6, 512), (7, 4096)):
         monkeypatch.setattr(search, "_CHUNK", chunk)
         blocks = partition(n, 4 * chunk)[:16]
         expected = [unfiltered_scan_block(n, start, stop) for start, stop in blocks]
         with monkeypatch.context() as patch:
-            patch.setattr(search._Workspace, "cholesky", steered)
+            patch.setattr(search, "_cholesky", steered)
             patch.setattr(search, "_values_for", counted)
             for (start, stop), want in zip(blocks, expected):
                 valued.clear()
@@ -275,27 +271,26 @@ def test_pick_only_steers_the_filter(monkeypatch, pick):
 
 
 def test_filter_reads_the_counts_of_its_chunk(monkeypatch):
-    # valuing the pick refills the workspace's buffers, the counts among
-    # them, so the filter must read counts computed after it
-    counted = []
-    real_pair_counts = search._Workspace.pair_counts
-
-    def recorded(self, idx):
-        counted.append(idx.copy())
-        return real_pair_counts(self, idx)
-
+    # the counts the filter of each chunk reads are that chunk's own,
+    # whatever the kernel computed in between, the pick's among it
+    chunk = 64
+    seen = []
     real_reachable = search._reachable
 
-    def checked(ws, counts, t):
-        own = real_pair_counts(search._Workspace(ws.n, counted[-1].size), counted[-1])
-        assert np.array_equal(counts, own)
-        return real_reachable(ws, counts, t)
+    def recorded(n, counts, t):
+        seen.append(counts.copy())
+        return real_reachable(n, counts, t)
 
-    monkeypatch.setattr(search._Workspace, "pair_counts", recorded)
-    monkeypatch.setattr(search, "_reachable", checked)
-    monkeypatch.setattr(search, "_CHUNK", 64)
-    for start, stop in partition(6, 256)[:8]:
+    monkeypatch.setattr(search, "_reachable", recorded)
+    monkeypatch.setattr(search, "_CHUNK", chunk)
+    for start, stop in partition(6, 4 * chunk)[:8]:
+        seen.clear()
         assert scan_block(6, start, stop) == unfiltered_scan_block(6, start, stop)
+        lows = range(start, stop, chunk)
+        assert len(seen) == len(lows), start
+        for lo, counts in zip(lows, seen):
+            own = search._pair_counts(6, np.arange(lo, lo + chunk, dtype=np.int64))
+            assert np.array_equal(counts, own), lo
 
 
 def test_scan_block_refuses_sizes_beyond_exactness_bound():
@@ -774,7 +769,6 @@ def test_killed_scan_leaves_its_merged_blocks_and_resumes(
         with pytest.raises((_Stop, KeyboardInterrupt)):
             exhaustive_min(n, workers=workers, block_size=block_size,
                            checkpoint_path=str(path), progress=stop_at)
-        assert getattr(search._per_thread, "workspace", None) is None
         assert checkpoint_load(str(path)).completed_runs == ((0, k),), (k, how)
 
         monkeypatch.setenv("GRAMFLOOR_TEST_FAIL_AT", "-1")
@@ -784,12 +778,6 @@ def test_killed_scan_leaves_its_merged_blocks_and_resumes(
                                  progress=lambda done, total: seen.append(done))
         assert seen[0] == k + 1, (k, how)
         assert _without_timing(resumed) == baseline, (k, how)
-
-
-def _fresh_scan(n, start, stop):
-    """scan_block with a workspace made for this call alone."""
-    search._per_thread.workspace = None
-    return scan_block(n, start, stop)
 
 
 def _interleaved_calls(seed):
@@ -805,20 +793,18 @@ def _interleaved_calls(seed):
     return calls
 
 
-def test_reused_workspace_never_leaks_between_calls():
+def test_interleaved_calls_match_the_unfiltered_scan():
     calls = _interleaved_calls(7)
-    expected = [_fresh_scan(*call) for call in calls]
-    search._per_thread.workspace = None
+    expected = [unfiltered_scan_block(*call) for call in calls]
     assert [scan_block(*call) for call in calls] == expected
-    # shorter calls after longer ones keep the larger buffers
     assert [scan_block(*call) for call in reversed(calls)] == expected[::-1]
 
 
-def test_reused_workspace_is_per_thread():
+def test_threaded_calls_match_the_unfiltered_scan():
     # more threads than cores, switching often: each must see the results
-    # of fresh workspaces, whatever the others scan meanwhile
+    # of the unfiltered scan, whatever the others scan meanwhile
     calls = [_interleaved_calls(seed) for seed in range(4)]
-    expected = [[_fresh_scan(*call) for call in mine] for mine in calls]
+    expected = [[unfiltered_scan_block(*call) for call in mine] for mine in calls]
     got = [None] * len(calls)
 
     def run(k):
@@ -836,13 +822,6 @@ def test_reused_workspace_is_per_thread():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert got == expected
-
-
-def test_exhaustive_min_holds_no_workspace_after_it_returns():
-    scan_block(6, 0, 100)
-    assert search._per_thread.workspace is not None
-    exhaustive_min(5, block_size=64)
-    assert search._per_thread.workspace is None
 
 
 def test_finished_checkpoint_rerun_is_stable(tmp_path):
