@@ -5,12 +5,12 @@ block is scanned by a vectorized kernel that computes exact power sums in
 batches and values each pattern through charpoly's own Newton identities and
 monotone Newton root, so the value computed for an index never depends on
 which block or chunk it landed in.  A Cholesky prefilter sends only the
-patterns that can reach the block minimum through that pipeline, and returns
-what valuing every pattern would.  Block results carry the block minimum
-plus every index whose value sits within TIE_EPS of it; merging keeps the
-global minimum and the surviving near-ties, and is associative and
-commutative, which is what makes worker count and completion order
-irrelevant to the result.
+patterns that can reach the smaller of the block minimum and a cap through
+that pipeline, and the merged result is what valuing every pattern gives.
+Block results carry the block minimum plus every index whose value sits
+within TIE_EPS of it; merging keeps the global minimum and the surviving
+near-ties, and is associative and commutative, which is what makes worker
+count and completion order irrelevant to the result.
 
 Candidates within TIE_EPS of the final minimum are then re-ordered exactly
 through their integer characteristic polynomials, so the reported argmin set
@@ -30,14 +30,15 @@ its value is the scalar pipeline's by construction.
 
 The prefilter.  Most patterns of a chunk lie far above the block minimum,
 and a float32 Cholesky certifies that cheaply; only the other patterns are
-valued.  The threshold t is always a value of the block: on the block's
-first chunk, scan_block values one pattern, the pick, and t is its value;
-from then on t is the running minimum.  The pick is the pattern whose
-Cholesky at shift 0 has the least squared pivot, a guess at the chunk's
-minimum that carries no proof.  The kernel factors J Z J, J the reversal
-of the rows, in place of Z: the two share their definiteness, determinant
-and traces, so nothing below changes, and the reversed pivots guess the
-minimum far better.  A pattern is dropped only when the float32 Cholesky
+valued.  The threshold is t = min(cap, m), m the block's running minimum.
+With no cap, t is always a value of the block: on the block's first
+chunk, scan_block values one pattern, the pick, and t is its value; from
+then on t is the running minimum.  With a finite cap nothing is picked.
+The pick is the pattern whose Cholesky at shift 0 has the least squared
+pivot, a guess at the chunk's minimum that carries no proof.  The kernel
+factors J Z J, J the reversal of the rows, in place of Z: the two share
+their definiteness, determinant and traces, so nothing below changes, and
+the reversed pivots guess the minimum far better.  A pattern is dropped only when the float32 Cholesky
 of Z - sI, s = t + TIE_EPS + _MARGIN, has every pivot positive and a pivot
 product above _DET_GUARD * ((tr Z + n s) / n)^n.  Then:
 
@@ -58,13 +59,42 @@ product above _DET_GUARD * ((tr Z + n s) / n)^n.  Then:
     (lambda_min - x) / n, so no step-size stop falls more than a relative
     n * NEWTON_TOL under it either.
 
-So a dropped pattern's value exceeds t + TIE_EPS + _MARGIN / 2.  As t is
-a value of the block, no dropped pattern can be a new minimum or a
-near-tie, and scan_block returns, bit for bit, what valuing every pattern
-returns.  The pick itself is never dropped, so it is valued again with the
-patterns the filter keeps.  The exact-division check of newton_identities
-and the unit-determinant check of _values_for run on the valued patterns
-only.
+So a dropped pattern's value exceeds t + TIE_EPS + _MARGIN / 2.  With no
+cap, t is a value of the block, so no dropped pattern can be a new minimum
+or a near-tie, and scan_block returns, bit for bit, what valuing every
+pattern returns.  The pick itself is never dropped, so it is valued again
+with the patterns the filter keeps.  The exact-division check of
+newton_identities and the unit-determinant check of _values_for run on the
+valued patterns only.
+
+The cap.  exhaustive_min caps every block, and every one-pattern rescan of
+a resume, at z0 = lambda_min(Y0 Y0^T), computed once before the first
+block through the scalar pipeline, so it is bit for bit Y0's scan value.
+Y0 is one of the patterns, so c_n <= z0 whether or not the conjecture
+holds: every merged state that covers Y0's block has its minimum at or
+below z0.  Let U be a block's uncapped result and C its result under a cap
+c.  A pattern at or below c + TIE_EPS is never dropped while t = c, nor
+one within TIE_EPS of U's minimum while t is a value of the block.  Then
+merge(C, X) == merge(U, X) for every state X with X.best <= c:
+
+  * if U.best <= c, t never falls below U.best, every pattern within
+    TIE_EPS of it is valued, and C == U;
+  * otherwise both merges have X.best as their minimum, whose near-ties lie
+    at or below c + TIE_EPS; those patterns of the block are all valued in
+    C, and so is its minimizer, so C keeps exactly U's near-ties there.  C
+    may be (count, inf, ()) when no pattern of the block is kept.
+
+Y0's block has U.best <= z0, and every other block merges with a state
+that covers Y0's, so replacing the uncapped blocks by capped ones one at a
+time, by associativity and commutativity, leaves the merged report bit for
+bit as it was.  Put directly: a dropped pattern's value is above min(z0,
+m) + TIE_EPS + _MARGIN / 2, and the merged minimum is at most both z0 and
+m, so no dropped pattern is the minimum or a near-tie of the merged state.
+Mid-run, the merged state may differ from an uncapped scan's in its
+minimum and in near-ties above z0 + TIE_EPS, and so may a checkpoint's
+running_argmin_indices, often fewer; none of those survives the merge
+with Y0's block, so a file written under either rule resumes under the
+other to the same report.
 
 The kernel works through a block in chunks of _CHUNK indices, small enough
 that a chunk's matrices stay in cache.  Each step of the kernel allocates
@@ -335,8 +365,16 @@ def _reachable(n: int, counts: np.ndarray, t: float) -> np.ndarray:
     return ~certified
 
 
-def scan_block(n: int, start: int, stop: int) -> PartialResult:
-    """Scan one contiguous index range; returns its minimum and near-ties."""
+def scan_block(n: int, start: int, stop: int, cap: float = float("inf")) -> PartialResult:
+    """Scan one contiguous index range; returns its minimum and near-ties.
+
+    The filter's threshold is min(cap, running minimum).  With the default
+    cap the result is what valuing every pattern returns.  With a finite
+    cap, patterns whose value lies above cap + TIE_EPS may be left out, and
+    a block whose patterns all lie well above the cap returns (count, inf,
+    ()); merged with any state whose minimum is at most cap, the result is
+    the one the uncapped block gives (the module notes say why).
+    """
     _layout(n)  # refuses a size beyond the exactness bound, even for no indices
     best = float("inf")
     cands: list[tuple[int, float]] = []
@@ -346,13 +384,13 @@ def scan_block(n: int, start: int, stop: int) -> PartialResult:
         idx = np.arange(lo, hi, dtype=np.int64)
         count += idx.size
         counts = _pair_counts(n, idx)
-        if best == float("inf"):
+        if min(cap, best) == float("inf"):
             # seed the threshold with a value of the block: that of the
             # pattern with the least squared pivot at shift 0, a guess at
             # the chunk's minimum
             pick = int(_cholesky(n, counts, 0.0).min(axis=0).argmin())
             best = float(_values_for(n, idx[pick:pick + 1])[0])
-        kept = idx[_reachable(n, counts, best)]
+        kept = idx[_reachable(n, counts, min(cap, best))]
         if not kept.size:
             continue
         vals = _values_for(n, kept)
@@ -557,6 +595,9 @@ def exhaustive_min(
     if workers < 1:
         raise ValueError(f"worker count must be positive, got {workers}")
     t0 = time.perf_counter()
+    # c_n is at most Y0's value, so no block needs to value a pattern far
+    # above it: every block filters against this cap
+    z0v = smallest_eigenvalue(gram(y0(n)))
     blocks = partition(n, block_size)
     nblocks = len(blocks)
 
@@ -609,7 +650,7 @@ def exhaustive_min(
             covered = blocks[done - 1][1] if done else 0
             for idx in ck.running_argmin_indices:
                 if idx < covered:
-                    state = merge_partials(state, scan_block(n, idx, idx + 1))
+                    state = merge_partials(state, scan_block(n, idx, idx + 1, z0v))
             state = PartialResult(covered, state.best, state.candidates)
         # one loop for every worker count, with ``ahead`` blocks out while
         # it waits for the oldest; the module notes say why
@@ -627,7 +668,7 @@ def exhaustive_min(
             pending: collections.deque[Future] = collections.deque()
             for i in range(len(rest)):
                 for start, stop in rest[i + len(pending):i + ahead]:
-                    pending.append(submit(scan_block, n, start, stop))
+                    pending.append(submit(scan_block, n, start, stop, z0v))
                 note_done(pending.popleft().result())
                 check_interrupt()
     finally:
@@ -641,7 +682,6 @@ def exhaustive_min(
             f"scan incomplete: visited {state.count} of {total} indices"
         )
     argmin = _adjudicate(n, state.candidates)
-    z0v = smallest_eigenvalue(gram(y0(n)))
     y0i = y0_index(n)
     return SearchReport(
         n=n,

@@ -293,6 +293,54 @@ def test_filter_reads_the_counts_of_its_chunk(monkeypatch):
             assert np.array_equal(counts, own), lo
 
 
+def _check_capped_blocks(n, blocks, cap):
+    # each block capped at ``cap`` against the scan that values every
+    # pattern: equal when its minimum is at most the cap, and otherwise
+    # equal on every near-tie at or below cap + TIE_EPS, with a minimum
+    # that is the least of its own candidates' values or, with none, inf;
+    # merged over the blocks, the two agree.  Returns the capped results
+    capped, merged, unfiltered = [], EMPTY_PARTIAL, EMPTY_PARTIAL
+    for start, stop in blocks:
+        c = scan_block(n, start, stop, cap)
+        u = unfiltered_scan_block(n, start, stop)
+        if u.best <= cap:
+            assert c == u, (n, start, stop)
+        else:
+            low = [x for x in u.candidates if x[1] <= cap + TIE_EPS]
+            assert c.count == u.count, (n, start, stop)
+            assert [x for x in c.candidates if x[1] <= cap + TIE_EPS] == low, (n, start)
+            assert c.best == min((v for _, v in c.candidates), default=float("inf"))
+        capped.append(c)
+        merged = merge_partials(merged, c)
+        unfiltered = merge_partials(unfiltered, u)
+    assert merged == unfiltered, n
+    return capped
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 1024])
+def test_blocks_capped_at_y0s_value_merge_as_the_unfiltered_scan(block):
+    for n in range(1, 6):
+        _check_capped_blocks(n, partition(n, block), smallest_eigenvalue(gram(y0(n))))
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_capped_windows_merged_with_y0s_block_match_the_unfiltered_scan(n):
+    width = 1 << 12
+    rng = random.Random(2000 + n)
+    y0i = y0_index(n)
+    cap = smallest_eigenvalue(gram(y0(n)))
+    capped = []
+    for block in (7, 64, 1024):
+        y0_start = y0i - y0i % block
+        for _ in range(2):
+            start = rng.randrange((1 << tri(n)) - width)
+            window = [(lo, min(lo + block, start + width))
+                      for lo in range(start, start + width, block)]
+            capped += _check_capped_blocks(n, [(y0_start, y0_start + block)] + window, cap)
+    # blocks that kept no pattern at all return (count, inf, ())
+    assert any(c.best == float("inf") and not c.candidates for c in capped)
+
+
 def test_scan_block_refuses_sizes_beyond_exactness_bound():
     with pytest.raises(ValueError, match="exhaustive scan supports"):
         scan_block(SEARCH_N_MAX + 1, 0, 16)
@@ -735,6 +783,59 @@ def _failing_scan_block(n, start, stop, *args):
     if start == int(os.environ["GRAMFLOOR_TEST_FAIL_AT"]):
         raise _Stop(start)
     return _real_scan_block(n, start, stop, *args)
+
+
+def _recorded_scan_block(n, start, stop, *args):
+    # runs in the pool's workers too: leaves one file per call, named by
+    # its range and holding the arguments after it
+    stamp = os.path.join(os.environ["GRAMFLOOR_TEST_STAMPS"], f"{start}-{stop}")
+    with open(stamp, "w") as fh:
+        fh.write(repr(args))
+    return _real_scan_block(n, start, stop, *args)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_every_block_and_rescan_is_capped_at_y0s_value(tmp_path, monkeypatch, workers):
+    # stopped once Y0's block is merged and then resumed, the scan hands
+    # Y0's value, bit for bit, to every block it submits and to every
+    # one-pattern rescan of a restored near-tie, Y0's among them
+    n, block_size = 5, 16
+    blocks = partition(n, block_size)
+    baseline = _without_timing(exhaustive_min(n, block_size=block_size))
+    y0i = y0_index(n)
+    k = y0i // block_size + 1
+    path = str(tmp_path / "ck.json")
+    stamps = tmp_path / "stamps"
+    stamps.mkdir()
+    monkeypatch.setenv("GRAMFLOOR_TEST_STAMPS", str(stamps))
+    monkeypatch.setattr(search, "scan_block", _recorded_scan_block)
+
+    def stop_at(done, total):
+        if done == k:
+            raise _Stop()
+
+    def take_calls():
+        calls = {p.name: p.read_text() for p in stamps.iterdir()}
+        for p in stamps.iterdir():
+            p.unlink()
+        return calls
+
+    with pytest.raises(_Stop):
+        exhaustive_min(n, workers=workers, block_size=block_size,
+                       checkpoint_path=path, progress=stop_at)
+    first = take_calls()
+    restored = checkpoint_load(path).running_argmin_indices
+    assert y0i in restored
+    resumed = exhaustive_min(n, workers=workers, block_size=block_size,
+                             checkpoint_path=path)
+    second = take_calls()
+    assert _without_timing(resumed) == baseline
+    assert {f"{a}-{b}" for a, b in blocks[:k]} <= set(first)
+    assert set(second) == (
+        {f"{i}-{i + 1}" for i in restored} | {f"{a}-{b}" for a, b in blocks[k:]}
+    )
+    z0v = repr((smallest_eigenvalue(gram(y0(n))),))
+    assert set(first.values()) == set(second.values()) == {z0v}
 
 
 @pytest.mark.parametrize("save_every", [0.0, search._SAVE_EVERY])
