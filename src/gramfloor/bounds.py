@@ -7,6 +7,10 @@ for the pattern whose strictly lower part marks divisibility.  And power GCD
 matrices: the Hong-Loewy eigenvalue bound through Jordan totients, plus the
 classical determinant identity det = prod phi over factor-closed sets, done
 in exact integer arithmetic.
+
+Both eigenvalue checks take their least eigenvalue in float64 from LAPACK
+through numpy.linalg.eigvalsh; the Hong-Loewy verdict allows _SLACK for
+its rounding.
 """
 
 from __future__ import annotations
@@ -17,7 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .charpoly import jacobi_eigenvalues, smallest_eigenvalue
+import numpy as np
+
+from .charpoly import smallest_eigenvalue
 from .core import IntegerMatrix, gram, mat_mul, mat_transpose, y0
 
 
@@ -128,12 +134,7 @@ def _factorize(m: int) -> list[tuple[int, int]]:
 
 
 def euler_phi(m: int) -> int:
-    if m < 1:
-        raise ValueError(f"totient argument must be positive, got {m}")
-    out = m
-    for p, _ in _factorize(m):
-        out -= out // p
-    return out
+    return jordan_totient(m, 1)
 
 
 def jordan_totient(m: int, eps: float) -> int | float:
@@ -177,7 +178,7 @@ def divisor_matrix_bound_check(n: int) -> DivisorBoundResult:
     """t_n = least eigenvalue of E^T E against 1 / (n * sum of mu^2)."""
     e = divisor_matrix(n)
     ete = mat_mul(mat_transpose(e), e)
-    t_n = min(jacobi_eigenvalues(ete))
+    t_n = float(np.linalg.eigvalsh(np.array(ete.entries, dtype=np.float64))[0])
     mu = mobius_sieve(n)
     bound = 1.0 / (n * sum(v * v for v in mu[1:]))
     return DivisorBoundResult(t_n, bound, t_n >= bound)
@@ -233,7 +234,7 @@ def hong_loewy_check(s: Sequence[int], eps: float) -> HongLoewyResult:
     """Least eigenvalue of the power GCD matrix against c_n * min J_eps,
     with c_n = ``floor_value(len(s))``."""
     spec = power_gcd_matrix(s, eps)
-    lam = min(jacobi_eigenvalues([[float(v) for v in row] for row in spec.entries]))
+    lam = float(np.linalg.eigvalsh(np.array(spec.entries, dtype=np.float64))[0])
     bound = floor_value(len(spec.s)) * min(jordan_totient(x, eps) for x in spec.s)
     holds = lam >= bound - _SLACK * max(1.0, abs(bound))
     return HongLoewyResult(lam, bound, holds)

@@ -15,9 +15,6 @@ residual sinks under the float64 noise floor, and gives up after NEWTON_CAP
 steps.  The scan in search values each pattern through newton_identities
 and this walk too, so every route to a value runs the same code.
 
-A dependency-free cyclic Jacobi eigensolver gives all eigenvalues in
-float64 for the GCD-matrix and divisor-matrix checks in bounds.
-
 Near-ties between candidate minima are settled exactly: integer
 characteristic polynomials are compared through Sturm-chain root counting
 with rational interval endpoints, no floating point involved.
@@ -31,8 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .core import GramMatrix, IntegerMatrix, mat_mul, mat_trace
 
 _EPS = sys.float_info.epsilon
@@ -45,9 +40,6 @@ _BACKSTEP = math.sqrt(_EPS)
 # the stopping rule of every Newton walk: relative step size, step budget
 NEWTON_TOL = 1e-13
 NEWTON_CAP = 500
-# the stopping rule of the Jacobi sweeps: off-diagonal mass, sweep budget
-JACOBI_TOL = 1e-12
-JACOBI_SWEEPS = 100
 
 
 class ConvergenceError(RuntimeError):
@@ -193,67 +185,6 @@ def smallest_root_newton(cp: CharPoly) -> float:
 def smallest_eigenvalue(z: GramMatrix | IntegerMatrix) -> float:
     """Least eigenvalue via exact power sums, Newton identities, Newton root."""
     return smallest_root_newton(newton_identities(power_sums(z)))
-
-
-# -- float eigenvalues of a symmetric matrix ---------------------------------
-
-
-def _as_float_array(m) -> np.ndarray:
-    if isinstance(m, (IntegerMatrix, GramMatrix)):
-        return np.array(m.entries, dtype=np.float64)
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"need a square matrix, got shape {a.shape}")
-    return a
-
-
-def jacobi_eigenvalues(m) -> list[float]:
-    """All eigenvalues of a symmetric matrix by cyclic-by-row Jacobi sweeps.
-
-    Plain rotations, no library eigensolver behind it; sweeps stop once the
-    off-diagonal Frobenius mass is at most JACOBI_TOL, scaled by the matrix
-    norm when that norm exceeds one, and give up after JACOBI_SWEEPS.
-    Ascending order.
-    """
-    a = _as_float_array(m).copy()
-    n = a.shape[0]
-    if not np.array_equal(a, a.T):
-        raise ValueError("Jacobi sweeps need symmetric input")
-    if n == 1:
-        return [float(a[0, 0])]
-    # summing the squared off-diagonal part directly avoids the cancellation
-    # that |A|_F^2 - |diag|^2 suffers once the norms dwarf the residual
-    goal = JACOBI_TOL * max(1.0, math.sqrt(float(np.sum(a * a))))
-
-    def off_mass() -> float:
-        mask = a.copy()
-        np.fill_diagonal(mask, 0.0)
-        return math.sqrt(float(np.sum(mask * mask)))
-
-    for _ in range(JACOBI_SWEEPS):
-        if off_mass() <= goal:
-            return sorted(float(v) for v in np.diag(a))
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                # hypot keeps theta^2 from overflowing for denormal pivots
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp_, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp_ - s * cq
-                a[:, q] = s * cp_ + c * cq
-                a[p, q] = a[q, p] = 0.0
-    off = off_mass()
-    if off <= goal:
-        return sorted(float(v) for v in np.diag(a))
-    raise ConvergenceError(f"off-diagonal mass {off} after {JACOBI_SWEEPS} sweeps")
 
 
 # -- exact comparison of least roots ----------------------------------------

@@ -598,8 +598,13 @@ def exhaustive_min(
     # c_n is at most Y0's value, so no block needs to value a pattern far
     # above it: every block filters against this cap
     z0v = smallest_eigenvalue(gram(y0(n)))
-    blocks = partition(n, block_size)
-    nblocks = len(blocks)
+    if block_size < 1:
+        raise ValueError(f"block size must be positive, got {block_size}")
+    total = 1 << tri(n)
+    # block k starts at starts[k]; a range, so no block is made before the
+    # loop hands it out
+    starts = range(0, total, block_size)
+    nblocks = len(starts)
 
     ck: Checkpoint | None = None
     if checkpoint_path is not None:
@@ -647,7 +652,7 @@ def exhaustive_min(
             # to blocks that are scanned again: those of a later run, in a
             # file from an older build, or of a block merged but not yet
             # counted when the file was saved
-            covered = blocks[done - 1][1] if done else 0
+            covered = min(done * block_size, total)
             for idx in ck.running_argmin_indices:
                 if idx < covered:
                     state = merge_partials(state, scan_block(n, idx, idx + 1, z0v))
@@ -664,10 +669,11 @@ def exhaustive_min(
             else contextlib.nullcontext()
         ) as pool:
             submit, ahead = (pool.submit, workers + 1) if pool else (_run_now, 1)
-            rest = blocks[done:]
+            rest = starts[done:]
             pending: collections.deque[Future] = collections.deque()
             for i in range(len(rest)):
-                for start, stop in rest[i + len(pending):i + ahead]:
+                for start in rest[i + len(pending):i + ahead]:
+                    stop = min(start + block_size, total)
                     pending.append(submit(scan_block, n, start, stop, z0v))
                 note_done(pending.popleft().result())
                 check_interrupt()
@@ -676,7 +682,6 @@ def exhaustive_min(
         if ck is not None and done != saved:
             save()
 
-    total = 1 << tri(n)
     if state.count != total:
         raise RuntimeError(
             f"scan incomplete: visited {state.count} of {total} indices"

@@ -7,6 +7,9 @@ method, so agreement between the two is evidence for both:
     Faddeev-LeVerrier recursion, against charpoly.newton_identities;
   * spectral_radius_power_iteration: the spectral radius by power
     iteration, against the least eigenvalue through the reciprocal law;
+  * jacobi_eigenvalues: every eigenvalue of a symmetric matrix by cyclic
+    Jacobi rotations in float64, against charpoly.smallest_eigenvalue and
+    against the LAPACK eigenvalues the bounds checks take;
   * invert_via_nilpotent: the inverse of a pattern as the terminating
     series I - N + N^2 - ..., against inverse.invert_unit_lower;
   * nilpotent_band_check: N^k vanishes on the band i - j < k, the
@@ -22,6 +25,8 @@ Two helpers that only tests call, mat_identity and index_of, live here too.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from gramfloor import search
@@ -32,7 +37,6 @@ from gramfloor.charpoly import (
     _BACKSTEP,
     CharPoly,
     ConvergenceError,
-    _as_float_array,
 )
 from gramfloor.core import (
     GramMatrix,
@@ -42,6 +46,10 @@ from gramfloor.core import (
     mat_trace,
     to_dense,
 )
+
+# the stopping rule of the Jacobi sweeps: off-diagonal mass, sweep budget
+JACOBI_TOL = 1e-12
+JACOBI_SWEEPS = 100
 
 
 def mat_identity(n: int) -> IntegerMatrix:
@@ -81,6 +89,64 @@ def faddeev_leverrier(m: IntegerMatrix | GramMatrix) -> CharPoly:
         c[n - k] = q
     e = tuple(c[n - j] if j % 2 == 0 else -c[n - j] for j in range(1, n + 1))
     return CharPoly(n, e)
+
+
+def _as_float_array(m) -> np.ndarray:
+    if isinstance(m, (IntegerMatrix, GramMatrix)):
+        return np.array(m.entries, dtype=np.float64)
+    a = np.asarray(m, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"need a square matrix, got shape {a.shape}")
+    return a
+
+
+def jacobi_eigenvalues(m) -> list[float]:
+    """All eigenvalues of a symmetric matrix by cyclic-by-row Jacobi sweeps.
+
+    Plain rotations, no library eigensolver behind it; sweeps stop once the
+    off-diagonal Frobenius mass is at most JACOBI_TOL, scaled by the matrix
+    norm when that norm exceeds one, and give up after JACOBI_SWEEPS.
+    Ascending order.
+    """
+    a = _as_float_array(m).copy()
+    n = a.shape[0]
+    if not np.array_equal(a, a.T):
+        raise ValueError("Jacobi sweeps need symmetric input")
+    if n == 1:
+        return [float(a[0, 0])]
+    # summing the squared off-diagonal part directly avoids the cancellation
+    # that |A|_F^2 - |diag|^2 suffers once the norms dwarf the residual
+    goal = JACOBI_TOL * max(1.0, math.sqrt(float(np.sum(a * a))))
+
+    def off_mass() -> float:
+        mask = a.copy()
+        np.fill_diagonal(mask, 0.0)
+        return math.sqrt(float(np.sum(mask * mask)))
+
+    for _ in range(JACOBI_SWEEPS):
+        if off_mass() <= goal:
+            return sorted(float(v) for v in np.diag(a))
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                # hypot keeps theta^2 from overflowing for denormal pivots
+                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                rp, rq = a[p, :].copy(), a[q, :].copy()
+                a[p, :] = c * rp - s * rq
+                a[q, :] = s * rp + c * rq
+                cp_, cq = a[:, p].copy(), a[:, q].copy()
+                a[:, p] = c * cp_ - s * cq
+                a[:, q] = s * cp_ + c * cq
+                a[p, q] = a[q, p] = 0.0
+    off = off_mass()
+    if off <= goal:
+        return sorted(float(v) for v in np.diag(a))
+    raise ConvergenceError(f"off-diagonal mass {off} after {JACOBI_SWEEPS} sweeps")
 
 
 def spectral_radius_power_iteration(

@@ -20,7 +20,6 @@ from gramfloor.bounds import (
     smith_determinant_check,
 )
 from gramfloor.charpoly import (
-    jacobi_eigenvalues,
     newton_identities,
     power_sums,
     smallest_eigenvalue,
@@ -42,7 +41,12 @@ from gramfloor.inverse import (
     invert_unit_lower,
 )
 from gramfloor.search import checkpoint_load, exhaustive_min, y0_index
-from oracles import faddeev_leverrier, mat_identity, spectral_radius_power_iteration
+from oracles import (
+    faddeev_leverrier,
+    jacobi_eigenvalues,
+    mat_identity,
+    spectral_radius_power_iteration,
+)
 
 
 def _without_timing(report) -> dict:

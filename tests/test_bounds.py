@@ -1,5 +1,6 @@
 """Closed-form floor bounds, multiplicative functions, GCD matrix checks."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gramfloor.bounds import (
+    _SLACK,
     bounds_table,
     divisor_matrix,
     divisor_matrix_bound_check,
@@ -22,8 +24,9 @@ from gramfloor.bounds import (
     smith_determinant_check,
 )
 from gramfloor.charpoly import smallest_eigenvalue
-from gramfloor.core import gram, y0
+from gramfloor.core import gram, mat_mul, mat_transpose, y0
 from gramfloor.search import exhaustive_min
+from oracles import jacobi_eigenvalues
 
 
 def test_mattila_frozen_examples():
@@ -165,6 +168,30 @@ def test_hong_loewy_sampled_sets():
     for s in ([2, 4, 6, 8], [3, 5, 7], [1, 4, 9, 16], [2, 3, 5, 7, 8]):
         for eps in (1, 2):
             assert hong_loewy_check(s, eps).holds, (s, eps)
+
+
+def _close(value, reference):
+    return abs(value - reference) <= 1e-12 * abs(reference)
+
+
+def test_divisor_bound_agrees_with_jacobi():
+    for n in range(1, 51):
+        result = divisor_matrix_bound_check(n)
+        e = divisor_matrix(n)
+        t_n = min(jacobi_eigenvalues(mat_mul(mat_transpose(e), e)))
+        assert _close(result.t_n, t_n), (n, result.t_n, t_n)
+        assert result.holds == (t_n >= result.bound), n
+
+
+def test_hong_loewy_agrees_with_jacobi():
+    subsets = [c for k in range(1, 6) for c in itertools.combinations(range(1, 9), k)]
+    for s in subsets:
+        for eps in (1, 2, 0.5):
+            result = hong_loewy_check(s, eps)
+            lam = min(jacobi_eigenvalues(power_gcd_matrix(s, eps).entries))
+            assert _close(result.lambda_min, lam), (s, eps, result.lambda_min, lam)
+            verdict = lam >= result.bound - _SLACK * max(1.0, abs(result.bound))
+            assert result.holds == verdict, (s, eps)
 
 
 def test_smith_frozen_examples():

@@ -13,7 +13,6 @@ from gramfloor.charpoly import (
     _float_coeffs,
     _newton_iterates,
     compare_smallest_roots,
-    jacobi_eigenvalues,
     newton_identities,
     power_sums,
     smallest_eigenvalue,
@@ -22,7 +21,11 @@ from gramfloor.charpoly import (
 from gramfloor.core import IntegerMatrix, from_index, gram, tri, y0
 from gramfloor.extremal import z0_inverse_closed
 from gramfloor.inverse import gram_inverse
-from oracles import faddeev_leverrier, spectral_radius_power_iteration
+from oracles import (
+    faddeev_leverrier,
+    jacobi_eigenvalues,
+    spectral_radius_power_iteration,
+)
 
 
 def test_power_sums_frozen_example():

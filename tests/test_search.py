@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -936,6 +937,27 @@ def test_progress_callback_counts_blocks():
     seen = []
     exhaustive_min(4, block_size=16, progress=lambda done, total: seen.append((done, total)))
     assert seen == [(k, 4) for k in range(1, 5)]
+
+
+def test_scan_does_not_list_its_blocks_up_front():
+    # n = 7 in one-pattern blocks is 2^21 blocks; the driver makes each
+    # range as it hands it out, so three blocks in it has allocated little
+    seen = []
+
+    def stop_after_3(done, total):
+        seen.append(total)
+        if done == 3:
+            raise _Stop()
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(_Stop):
+            exhaustive_min(7, block_size=1, progress=stop_after_3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert seen == [1 << 21] * 3
+    assert peak < 16 << 20, peak
 
 
 def test_y0_index_matches_pattern():
