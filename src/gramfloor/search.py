@@ -93,26 +93,21 @@ m, so no dropped pattern is the minimum or a near-tie of the merged state.
 Mid-run, the merged state may differ from an uncapped scan's in its
 minimum and in near-ties above z0 + TIE_EPS, and so may a checkpoint's
 running_argmin_indices, often fewer; none of those survives the merge
-with Y0's block, so a file written under either rule resumes under the
-other to the same report.
+with Y0's block.
 
 The kernel works through a block in chunks of _CHUNK indices, small enough
 that a chunk's matrices stay in cache.  Each step of the kernel allocates
 the arrays it returns, so nothing passes from one chunk, call or thread to
 another but the read-only _layout of each n.
 
-A checkpoint holds the finished blocks as sorted [start, stop) runs of block
-ids.  The driver merges block results in the order the blocks were handed
-out, so the finished blocks are always a leading run 0 .. done - 1: the file
-holds that one run, and a save costs the same after the last block as after
-the first.  A file from an older build may hold later runs too; a resume
-keeps only the leading run and scans every later block again.  The driver
-saves at most once every _SAVE_EVERY seconds, and once more on every way
-out of the scan, so the file holds the merged blocks whenever the scan
-stops; a hard kill loses at most the blocks merged since the last save,
-which a resume scans again.  The file records the Newton tolerance, always
-charpoly.NEWTON_TOL, and a file that records another one, from a build
-whose tolerance could be set, is refused.
+The driver merges block results in the order the blocks were handed out,
+so the finished blocks are always 0 .. done - 1 and a checkpoint holds the
+one count, blocks_done.  The driver saves at most once every _SAVE_EVERY
+seconds, and once more on every way out of the scan, so the file holds the
+merged blocks whenever the scan stops; a hard kill loses at most the blocks
+merged since the last save, which a resume scans again.  The file records
+the Newton tolerance, always charpoly.NEWTON_TOL; a file that records
+another one, or is of another version, is refused.
 
 exhaustive_min runs one loop over the blocks for every worker count: it
 hands them out in order through submit, a process pool's or, with one
@@ -162,7 +157,7 @@ from .core import from_index, gram, row_masks, tri, y0
 TIE_EPS = 1e-9
 DEFAULT_BLOCK_SIZE = 1 << 20
 SEARCH_N_MAX = 9
-CHECKPOINT_VERSION = "2"
+CHECKPOINT_VERSION = "3"
 _CHUNK = 1 << 12
 # the prefilter's shift above the threshold, and its determinant guard;
 # the module notes give the error argument for both
@@ -214,14 +209,12 @@ class SearchReport:
 class Checkpoint:
     """Resumable scan state; persisted as a small versioned JSON document.
 
-    ``completed_runs`` holds the finished block ids as sorted, disjoint,
-    non-touching [start, stop) runs; this build writes at most one,
-    (0, done).
+    The finished blocks are 0 .. blocks_done - 1.
     """
 
     n: int
     block_size: int
-    completed_runs: tuple[tuple[int, int], ...]
+    blocks_done: int
     running_argmin_indices: tuple[int, ...]
     created: str
     updated: str
@@ -230,14 +223,6 @@ class Checkpoint:
 def y0_index(n: int) -> int:
     """Enumeration index of the alternating-parity pattern."""
     return y0(n).bits
-
-
-def partition(n: int, block_size: int) -> list[tuple[int, int]]:
-    """Contiguous [start, stop) index ranges covering the whole space."""
-    if block_size < 1:
-        raise ValueError(f"block size must be positive, got {block_size}")
-    total = 1 << tri(n)
-    return [(s, min(s + block_size, total)) for s in range(0, total, block_size)]
 
 
 # -- vectorized kernel -------------------------------------------------------
@@ -422,7 +407,7 @@ def checkpoint_save(path: str, ck: Checkpoint) -> None:
         "n": ck.n,
         "block_size": ck.block_size,
         "newton_tol": NEWTON_TOL,
-        "completed_runs": ck.completed_runs,
+        "blocks_done": ck.blocks_done,
         "running_argmin_indices": ck.running_argmin_indices,
         "created": ck.created,
         "updated": ck.updated,
@@ -441,44 +426,32 @@ def checkpoint_save(path: str, ck: Checkpoint) -> None:
 
 
 def checkpoint_load(path: str) -> Checkpoint:
-    """Read a checkpoint; a version "1" file, a list of block ids written
-    before runs and the tolerance were recorded, loads as at NEWTON_TOL and
-    is written back as the current version.  A version "2" file that
-    records another tolerance holds values of another c_n and is refused."""
+    """Read a checkpoint; a file of another version is refused, and so is
+    one that records another tolerance, whose values are of another c_n."""
     try:
         with open(path) as fh:
             d = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
     version = d.get("version") if isinstance(d, dict) else None
-    if version not in ("1", CHECKPOINT_VERSION):
+    if version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"checkpoint version {version!r} does not match {CHECKPOINT_VERSION!r}"
         )
-    if version == CHECKPOINT_VERSION and d.get("newton_tol") != NEWTON_TOL:
+    if d.get("newton_tol") != NEWTON_TOL:
         raise CheckpointError(
             f"checkpoint Newton tolerance {d.get('newton_tol')!r} does not match {NEWTON_TOL!r}"
         )
     try:
-        if version == "1":
-            ids: list[list[int]] = []
-            for b in sorted(set(d["completed_block_ids"])):
-                if ids and ids[-1][1] == b:
-                    ids[-1][1] = b + 1
-                else:
-                    ids.append([b, b + 1])
-            runs = tuple(map(tuple, ids))
-        else:
-            runs = tuple((start, stop) for start, stop in d["completed_runs"])
         return Checkpoint(
             n=d["n"],
             block_size=d["block_size"],
-            completed_runs=runs,
+            blocks_done=d["blocks_done"],
             running_argmin_indices=tuple(d["running_argmin_indices"]),
             created=d["created"],
             updated=d["updated"],
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc
 
 
@@ -489,24 +462,20 @@ def _validate_checkpoint(ck: Checkpoint, n: int, block_size: int, nblocks: int) 
         raise CheckpointError(
             f"checkpoint block size {ck.block_size} does not match {block_size}"
         )
-    # runs in canonical form read a0 < b0 < a1 < b1 < ... within [0, nblocks]
-    edges = [v for run in ck.completed_runs for v in run]
-    if (
-        any(type(v) is not int for v in edges)
-        or any(a >= b for a, b in zip(edges, edges[1:]))
-        or (edges and not (0 <= edges[0] and edges[-1] <= nblocks))
-    ):
+    if not (type(ck.blocks_done) is int and 0 <= ck.blocks_done <= nblocks):
         raise CheckpointError(
-            f"checkpoint block runs are not sorted, disjoint runs of ids in "
-            f"0..{nblocks - 1}: {list(ck.completed_runs[:5])}"
+            f"checkpoint blocks_done {ck.blocks_done!r} is not a count in 0..{nblocks}"
         )
     total = 1 << tri(n)
-    bad_idx = [
-        i for i in ck.running_argmin_indices if type(i) is not int or not 0 <= i < total
-    ]
-    if bad_idx:
+    idx = ck.running_argmin_indices
+    # this build writes merge_partials' sorted indices, each scanned once; a
+    # repeated one would be scanned and adjudicated twice
+    if any(type(i) is not int or not 0 <= i < total for i in idx) or any(
+        a >= b for a, b in zip(idx, idx[1:])
+    ):
         raise CheckpointError(
-            f"checkpoint contains non-integer or out-of-range indices {bad_idx[:5]}"
+            f"checkpoint near-tie indices are not strictly increasing integers "
+            f"in 0..{total - 1}: {list(idx[:5])}"
         )
 
 
@@ -594,12 +563,12 @@ def exhaustive_min(
         raise ValueError("n = 9 requires a checkpoint path")
     if workers < 1:
         raise ValueError(f"worker count must be positive, got {workers}")
+    if block_size < 1:
+        raise ValueError(f"block size must be positive, got {block_size}")
     t0 = time.perf_counter()
     # c_n is at most Y0's value, so no block needs to value a pattern far
     # above it: every block filters against this cap
     z0v = smallest_eigenvalue(gram(y0(n)))
-    if block_size < 1:
-        raise ValueError(f"block size must be positive, got {block_size}")
     total = 1 << tri(n)
     # block k starts at starts[k]; a range, so no block is made before the
     # loop hands it out
@@ -615,22 +584,21 @@ def exhaustive_min(
             ck = Checkpoint(
                 n=n,
                 block_size=block_size,
-                completed_runs=(),
+                blocks_done=0,
                 running_argmin_indices=(),
                 created=_now(),
                 updated=_now(),
             )
             checkpoint_save(checkpoint_path, ck)
 
-    # the finished blocks are always the leading run 0 .. done - 1
-    runs = ck.completed_runs if ck else ()
-    done = saved = runs[0][1] if runs and runs[0][0] == 0 else 0
+    # the finished blocks are always 0 .. done - 1
+    done = saved = ck.blocks_done if ck else 0
     state = EMPTY_PARTIAL
     saved_at = time.monotonic()
 
     def save() -> None:
         nonlocal saved, saved_at
-        ck.completed_runs = ((0, done),)
+        ck.blocks_done = done
         ck.running_argmin_indices = tuple(i for i, _ in state.candidates)
         ck.updated = _now()
         checkpoint_save(checkpoint_path, ck)
@@ -647,11 +615,10 @@ def exhaustive_min(
 
     try:
         if ck is not None:
-            # the merged state of the leading run: its near-ties scanned
-            # again, and the patterns it covers.  Near-ties past it belong
-            # to blocks that are scanned again: those of a later run, in a
-            # file from an older build, or of a block merged but not yet
-            # counted when the file was saved
+            # the merged state of the finished blocks: their near-ties
+            # scanned again, and the patterns they cover.  A near-tie past
+            # them belongs to a block merged but not yet counted when the
+            # file was saved, which is scanned again
             covered = min(done * block_size, total)
             for idx in ck.running_argmin_indices:
                 if idx < covered:

@@ -20,7 +20,8 @@ method, so agreement between the two is evidence for both:
   * unfiltered_scan_block: a block scan that values every pattern through
     batched_values, against search.scan_block and its Cholesky prefilter.
 
-Two helpers that only tests call, mat_identity and index_of, live here too.
+Three helpers that only tests call, mat_identity, index_of and
+block_ranges, live here too.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from gramfloor.core import (
     mat_mul,
     mat_trace,
     to_dense,
+    tri,
 )
 
 # the stopping rule of the Jacobi sweeps: off-diagonal mass, sweep budget
@@ -59,6 +61,12 @@ def mat_identity(n: int) -> IntegerMatrix:
 def index_of(y: LowerUnitMatrix) -> int:
     """Enumeration index of a pattern; equals its packed bitfield."""
     return y.bits
+
+
+def block_ranges(n: int, block_size: int) -> list[tuple[int, int]]:
+    """The [start, stop) index ranges of exhaustive_min's blocks, in order."""
+    total = 1 << tri(n)
+    return [(s, min(s + block_size, total)) for s in range(0, total, block_size)]
 
 
 def faddeev_leverrier(m: IntegerMatrix | GramMatrix) -> CharPoly:

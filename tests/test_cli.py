@@ -185,6 +185,63 @@ def test_checkpoint_rejection_exits_three(tmp_path):
                      "--checkpoint", path]) == 3
 
 
+def test_older_checkpoint_versions_exit_three(tmp_path, capsys):
+    # version "2" as earlier builds wrote it, one leading run of block ids,
+    # and version "1", a list of block ids: each refused by its version
+    path = tmp_path / "ck.json"
+    args = ["verify", "--n", "5", "--workers", "1", "--block-size", "128",
+            "--checkpoint", str(path)]
+    assert main(args) == 0
+    saved = json.loads(path.read_text())
+    assert saved["version"] == "3" and saved["blocks_done"] == 8
+    rest = {k: saved[k] for k in ("running_argmin_indices", "created", "updated")}
+    older = {
+        "2": {"version": "2", "n": 5, "block_size": 128, "newton_tol": 1e-13,
+              "completed_runs": [[0, 8]], **rest},
+        "1": {"version": "1", "n": 5, "block_size": 128,
+              "completed_block_ids": list(range(8)), **rest},
+    }
+    capsys.readouterr()
+    for version, doc in older.items():
+        path.write_text(json.dumps(doc))
+        assert main(args) == 3, version
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"checkpoint version '{version}' does not match '3'" in out.err
+
+
+def test_repeated_near_tie_index_exits_three(tmp_path, capsys):
+    # a near-tie index listed twice would be scanned and adjudicated twice,
+    # and Y0 would tie with itself: such a file is refused, as is an
+    # unsorted list, while the file as written resumes to the unique argmin
+    path = tmp_path / "ck.json"
+
+    class Stop(Exception):
+        pass
+
+    def stop_at_12(done, total):
+        if done == 12:
+            raise Stop()
+
+    with pytest.raises(Stop):
+        exhaustive_min(5, block_size=64, checkpoint_path=str(path), progress=stop_at_12)
+    written = path.read_text()
+    saved = json.loads(written)
+    assert saved["running_argmin_indices"] == [685]
+    args = ["uniqueness", "--n", "5", "--block-size", "64", "--workers", "1",
+            "--checkpoint", str(path)]
+    for indices in ([685, 685], [685, 100]):
+        path.write_text(json.dumps({**saved, "running_argmin_indices": indices}))
+        capsys.readouterr()
+        assert main(args) == 3, indices
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "strictly increasing" in out.err
+    path.write_text(written)
+    assert main(args) == 0
+    assert json.loads(capsys.readouterr().out)["argmin_indices"] == [685]
+
+
 def _child_env():
     """This process's environment with its own gramfloor tree first on PYTHONPATH.
 

@@ -1,4 +1,4 @@
-"""Exhaustive scan engine: partitioning, the prefilter, merging, checkpoints, determinism."""
+"""Exhaustive scan engine: blocks, the prefilter, merging, checkpoints, determinism."""
 
 import json
 import multiprocessing
@@ -34,11 +34,10 @@ from gramfloor.search import (
     checkpoint_save,
     exhaustive_min,
     merge_partials,
-    partition,
     scan_block,
     y0_index,
 )
-from oracles import batched_values, unfiltered_scan_block
+from oracles import batched_values, block_ranges, unfiltered_scan_block
 
 FROZEN_FLOORS = {
     1: 1.0,
@@ -54,23 +53,6 @@ def _without_timing(report: SearchReport) -> dict:
     d.pop("elapsed")
     d.pop("blocks_completed")
     return d
-
-
-def test_partition_frozen_example():
-    assert partition(3, 4) == [(0, 4), (4, 8)]
-    assert partition(1, 16) == [(0, 1)]
-    with pytest.raises(ValueError):
-        partition(3, 0)
-
-
-def test_partition_covers_everything():
-    for n in (3, 4, 5):
-        for block in (1, 7, 64, DEFAULT_BLOCK_SIZE):
-            blocks = partition(n, block)
-            assert blocks[0][0] == 0
-            assert blocks[-1][1] == 1 << tri(n)
-            for (a, b), (c, d) in zip(blocks, blocks[1:]):
-                assert b == c and a < b
 
 
 def test_exhaustive_min_frozen_floors():
@@ -140,7 +122,7 @@ _SWEEP = [(block, chunk) for block in (1, 3, 64, 4096) for chunk in (2, 7, 64, 4
 def _sweep_blocks(block, chunk, n_max, monkeypatch):
     monkeypatch.setattr(search, "_CHUNK", chunk)
     for n in range(1, n_max + 1):
-        for start, stop in partition(n, block):
+        for start, stop in block_ranges(n, block):
             expected = unfiltered_scan_block(n, start, stop)
             assert scan_block(n, start, stop) == expected, (n, start, stop)
 
@@ -259,7 +241,7 @@ def test_pick_only_steers_the_filter(monkeypatch, pick):
 
     for n, chunk in ((5, 64), (6, 512), (7, 4096)):
         monkeypatch.setattr(search, "_CHUNK", chunk)
-        blocks = partition(n, 4 * chunk)[:16]
+        blocks = block_ranges(n, 4 * chunk)[:16]
         expected = [unfiltered_scan_block(n, start, stop) for start, stop in blocks]
         with monkeypatch.context() as patch:
             patch.setattr(search, "_cholesky", steered)
@@ -284,7 +266,7 @@ def test_filter_reads_the_counts_of_its_chunk(monkeypatch):
 
     monkeypatch.setattr(search, "_reachable", recorded)
     monkeypatch.setattr(search, "_CHUNK", chunk)
-    for start, stop in partition(6, 4 * chunk)[:8]:
+    for start, stop in block_ranges(6, 4 * chunk)[:8]:
         seen.clear()
         assert scan_block(6, start, stop) == unfiltered_scan_block(6, start, stop)
         lows = range(start, stop, chunk)
@@ -321,7 +303,7 @@ def _check_capped_blocks(n, blocks, cap):
 @pytest.mark.parametrize("block", [1, 7, 64, 1024])
 def test_blocks_capped_at_y0s_value_merge_as_the_unfiltered_scan(block):
     for n in range(1, 6):
-        _check_capped_blocks(n, partition(n, block), smallest_eigenvalue(gram(y0(n))))
+        _check_capped_blocks(n, block_ranges(n, block), smallest_eigenvalue(gram(y0(n))))
 
 
 @pytest.mark.parametrize("n", [6, 7])
@@ -413,6 +395,16 @@ def test_size_validation():
         exhaustive_min(9)
 
 
+@pytest.mark.parametrize("block_size", [0, -1])
+def test_bad_block_size_fails_before_y0_is_valued(monkeypatch, block_size):
+    def unreachable(*args):
+        raise AssertionError("Y0 valued before the block size was checked")
+
+    monkeypatch.setattr(search, "smallest_eigenvalue", unreachable)
+    with pytest.raises(ValueError, match="block size must be positive"):
+        exhaustive_min(4, block_size=block_size)
+
+
 def test_floor_sequence_is_decreasing():
     floors = [exhaustive_min(n).c_n_estimate for n in range(1, 7)]
     assert all(a > b for a, b in zip(floors, floors[1:]))
@@ -453,7 +445,7 @@ def test_checkpoint_round_trip(tmp_path):
     ck = Checkpoint(
         n=5,
         block_size=128,
-        completed_runs=((0, 1), (3, 4)),
+        blocks_done=3,
         running_argmin_indices=(17,),
         created="2024-01-01T00:00:00",
         updated="2024-01-01T00:05:00",
@@ -461,18 +453,20 @@ def test_checkpoint_round_trip(tmp_path):
     checkpoint_save(path, ck)
     loaded = checkpoint_load(path)
     assert loaded == ck
-    assert json.loads(Path(path).read_text())["version"] == "2"
+    saved = json.loads(Path(path).read_text())
+    assert saved["version"] == "3"
+    assert saved["blocks_done"] == 3 and "completed_runs" not in saved
 
 
 def test_n9_checkpoint_in_one_run_is_small(tmp_path):
-    # every block of n = 9 at the default block size, held as one run
+    # every block of n = 9 at the default block size, held as one count
     path = tmp_path / "ck.json"
-    nblocks = len(partition(9, DEFAULT_BLOCK_SIZE))
+    nblocks = (1 << tri(9)) // DEFAULT_BLOCK_SIZE
     assert nblocks == 65536
     ck = Checkpoint(
         n=9,
         block_size=DEFAULT_BLOCK_SIZE,
-        completed_runs=((0, nblocks),),
+        blocks_done=nblocks,
         running_argmin_indices=(y0_index(9),),
         created="2024-01-01T00:00:00",
         updated="2024-01-01T00:05:00",
@@ -480,7 +474,7 @@ def test_n9_checkpoint_in_one_run_is_small(tmp_path):
     checkpoint_save(str(path), ck)
     assert path.stat().st_size < 1024
     assert checkpoint_load(str(path)) == ck
-    assert checkpoint_load(str(path)).completed_runs == ((0, nblocks),)
+    assert checkpoint_load(str(path)).blocks_done == nblocks
 
     # resuming the finished scan scans nothing more and rewrites nothing
     report = exhaustive_min(9, checkpoint_path=str(path))
@@ -532,122 +526,76 @@ def test_interrupted_scan_resumes_identically(tmp_path):
 
     with pytest.raises(Interrupt):
         exhaustive_min(6, block_size=4096, checkpoint_path=path, progress=stop_after)
-    assert checkpoint_load(path).completed_runs == ((0, 3),)
+    assert checkpoint_load(path).blocks_done == 3
 
     resumed = exhaustive_min(6, block_size=4096, checkpoint_path=path)
     assert _without_timing(resumed) == baseline
     assert resumed.blocks_completed == 8
 
 
-def test_checkpoint_with_running_min_key_resumes_identically(tmp_path):
-    # files written before running_min was dropped still carry the key;
-    # it is ignored on load, and the rewritten file no longer has it
+def _older_versions(path):
+    # a scan of n = 5 in 64-pattern blocks stopped after 12 blocks, Y0's
+    # block among them, written as earlier builds wrote it: version "2" as
+    # the leading run and with a later run, version "1" as block ids, with
+    # and without the running_min key
+    class Stop(Exception):
+        pass
+
+    def stop_at_12(done, total):
+        if done == 12:
+            raise Stop()
+
+    with pytest.raises(Stop):
+        exhaustive_min(5, block_size=64, checkpoint_path=str(path), progress=stop_at_12)
+    d = json.loads(path.read_text())
+    assert d["blocks_done"] == 12 and d["running_argmin_indices"] == [y0_index(5)]
+    head = {"n": 5, "block_size": 64}
+    tail = {k: d[k] for k in ("running_argmin_indices", "created", "updated")}
+    v2 = {"version": "2", **head, "newton_tol": 1e-13}
+    v1 = {"version": "1", **head, "completed_block_ids": list(range(12))}
+    return {
+        "version-2-leading-run": {**v2, "completed_runs": [[0, 12]], **tail},
+        "version-2-later-runs": {**v2, "completed_runs": [[0, 2], [10, 11]], **tail},
+        "version-1": {**v1, **tail},
+        "version-1-running-min": {**v1, "running_min": FROZEN_FLOORS[5], **tail},
+    }
+
+
+@pytest.mark.parametrize("case", ["version-2-leading-run", "version-2-later-runs",
+                                  "version-1", "version-1-running-min"])
+def test_older_checkpoint_versions_are_refused(tmp_path, case):
+    # a file of another version is refused by name and left as it was,
+    # however much of it this build could have read
     path = tmp_path / "ck.json"
-    baseline = _without_timing(exhaustive_min(5, block_size=64))
-    blocks = partition(5, 64)
-    done = [2, 5, 10, 11]  # y0_index(5) = 685 lies in block 10
-    state = EMPTY_PARTIAL
-    for b in done:
-        state = merge_partials(state, scan_block(5, *blocks[b]))
-    path.write_text(json.dumps({
-        "version": "1",
-        "n": 5,
-        "block_size": 64,
-        "completed_block_ids": done,
-        "running_min": state.best,
-        "running_argmin_indices": [i for i, _ in state.candidates],
-        "created": "2024-01-01T00:00:00",
-        "updated": "2024-01-01T00:05:00",
-    }))
-    assert checkpoint_load(str(path)).completed_runs == ((2, 3), (5, 6), (10, 12))
-
-    resumed = exhaustive_min(5, block_size=64, checkpoint_path=str(path))
-    assert _without_timing(resumed) == baseline
-    assert resumed.blocks_completed == len(blocks)
-    assert "running_min" not in json.loads(path.read_text())
+    doc = _older_versions(path)[case]
+    text = json.dumps(doc)
+    path.write_text(text)
+    match = f"version '{doc['version']}' does not match '3'"
+    with pytest.raises(CheckpointError, match=match):
+        checkpoint_load(str(path))
+    with pytest.raises(CheckpointError, match=match):
+        exhaustive_min(5, block_size=64, checkpoint_path=str(path))
+    assert path.read_text() == text
 
 
-def test_version_one_checkpoint_resumes_at_default_tolerance(tmp_path):
-    # a version "1" file lists block ids and predates the tolerance field:
-    # it loads at the fixed tolerance, and is rewritten as runs
-    path = tmp_path / "ck.json"
-    baseline = _without_timing(exhaustive_min(5, block_size=64))
-    blocks = partition(5, 64)
-    done = [3, 0, 1, 10, 7]
-    state = EMPTY_PARTIAL
-    for b in done:
-        state = merge_partials(state, scan_block(5, *blocks[b]))
-    path.write_text(json.dumps({
-        "version": "1",
-        "n": 5,
-        "block_size": 64,
-        "completed_block_ids": done,
-        "running_argmin_indices": [i for i, _ in state.candidates],
-        "created": "2024-01-01T00:00:00",
-        "updated": "2024-01-01T00:05:00",
-    }))
-    loaded = checkpoint_load(str(path))
-    assert loaded.completed_runs == ((0, 2), (3, 4), (7, 8), (10, 11))
-
-    resumed = exhaustive_min(5, block_size=64, checkpoint_path=str(path))
-    assert _without_timing(resumed) == baseline
-    saved = json.loads(path.read_text())
-    assert saved["version"] == "2"
-    assert saved["completed_runs"] == [[0, len(blocks)]]
-    assert saved["newton_tol"] == 1e-13
-    assert "completed_block_ids" not in saved
+_MISSING = object()
 
 
-def test_checkpoint_with_later_runs_resumes_from_its_leading_run(tmp_path):
-    # an older build merged blocks as they finished, so its file can hold
-    # runs past the leading one: their blocks are scanned again, and their
-    # near-ties, Y0's among them, are not restored as well
-    path = tmp_path / "ck.json"
-    baseline = _without_timing(exhaustive_min(5, block_size=64))
-    blocks = partition(5, 64)
-    runs = [[0, 2], [10, 11]]
-    assert y0_index(5) // 64 == 10
-    state = EMPTY_PARTIAL
-    for b in (0, 1, 10):
-        state = merge_partials(state, scan_block(5, *blocks[b]))
-    near_ties = [i for i, _ in state.candidates]
-    assert y0_index(5) in near_ties
-    path.write_text(json.dumps({
-        "version": "2",
-        "n": 5,
-        "block_size": 64,
-        "newton_tol": 1e-13,
-        "completed_runs": runs,
-        "running_argmin_indices": near_ties,
-        "created": "2024-01-01T00:00:00",
-        "updated": "2024-01-01T00:05:00",
-    }))
-
-    seen = []
-    resumed = exhaustive_min(5, block_size=64, checkpoint_path=str(path),
-                             progress=lambda done, total: seen.append(done))
-    assert seen[0] == 3
-    assert resumed.argmin_indices == (y0_index(5),)
-    assert _without_timing(resumed) == baseline
-    assert json.loads(path.read_text())["completed_runs"] == [[0, len(blocks)]]
-
-
-@pytest.mark.parametrize("runs", [
-    [[0, 2], [1, 3]],  # overlapping
-    [[0, 2], [2, 3]],  # touching, so not in canonical form
-    [[3, 4], [0, 1]],  # unsorted
-    [[2, 2]],  # empty
-    [[0, 17]],  # past the last block
-    [[-1, 2]],
-    [[0, 1.5]],
-])
-def test_checkpoint_rejects_malformed_runs(tmp_path, runs):
+@pytest.mark.parametrize("blocks_done", [-1, 17, 1.5, True, "3", None, _MISSING],
+                         ids=["negative", "past-the-last-block", "float", "true",
+                              "string", "null", "missing"])
+def test_checkpoint_rejects_malformed_blocks_done(tmp_path, blocks_done):
+    # n = 5 in 64-pattern blocks has 16: a count of 0 .. 16 blocks is an int
     path = tmp_path / "ck.json"
     exhaustive_min(5, block_size=64, checkpoint_path=str(path))
     doc = json.loads(path.read_text())
-    doc["completed_runs"] = runs
+    assert doc["blocks_done"] == 16
+    if blocks_done is _MISSING:
+        del doc["blocks_done"]
+    else:
+        doc["blocks_done"] = blocks_done
     path.write_text(json.dumps(doc))
-    with pytest.raises(CheckpointError, match="runs"):
+    with pytest.raises(CheckpointError, match="blocks_done"):
         exhaustive_min(5, block_size=64, checkpoint_path=str(path))
 
 
@@ -684,7 +632,7 @@ def test_interrupted_pool_scan_resumes_identically(tmp_path):
         exhaustive_min(
             6, workers=2, block_size=4096, checkpoint_path=path, progress=stop_after
         )
-    assert checkpoint_load(path).completed_runs == ((0, 3),)
+    assert checkpoint_load(path).blocks_done == 3
 
     resumed = exhaustive_min(6, workers=2, block_size=4096, checkpoint_path=path)
     assert _without_timing(resumed) == baseline
@@ -770,7 +718,7 @@ def test_sigint_stops_a_pool_scan_after_the_next_merged_block(tmp_path):
         exhaustive_min(6, workers=2, block_size=512, checkpoint_path=path,
                        progress=interrupt_at_3)
     assert reached == [3]
-    assert checkpoint_load(path).completed_runs == ((0, 3),)
+    assert checkpoint_load(path).blocks_done == 3
     assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
 
 
@@ -801,7 +749,7 @@ def test_every_block_and_rescan_is_capped_at_y0s_value(tmp_path, monkeypatch, wo
     # Y0's value, bit for bit, to every block it submits and to every
     # one-pattern rescan of a restored near-tie, Y0's among them
     n, block_size = 5, 16
-    blocks = partition(n, block_size)
+    blocks = block_ranges(n, block_size)
     baseline = _without_timing(exhaustive_min(n, block_size=block_size))
     y0i = y0_index(n)
     k = y0i // block_size + 1
@@ -849,7 +797,7 @@ def test_killed_scan_leaves_its_merged_blocks_and_resumes(
     # checkpoint, whether it saved after every block or not since it
     # started, and the resume reports what an uninterrupted scan does
     n, block_size = 6, 1 << 9
-    blocks = partition(n, block_size)
+    blocks = block_ranges(n, block_size)
     baseline = _without_timing(exhaustive_min(n, block_size=block_size))
     path = tmp_path / "ck.json"
     monkeypatch.setattr(search, "_SAVE_EVERY", save_every)
@@ -871,7 +819,7 @@ def test_killed_scan_leaves_its_merged_blocks_and_resumes(
         with pytest.raises((_Stop, KeyboardInterrupt)):
             exhaustive_min(n, workers=workers, block_size=block_size,
                            checkpoint_path=str(path), progress=stop_at)
-        assert checkpoint_load(str(path)).completed_runs == ((0, k),), (k, how)
+        assert checkpoint_load(str(path)).blocks_done == k, (k, how)
 
         monkeypatch.setenv("GRAMFLOOR_TEST_FAIL_AT", "-1")
         seen = []
