@@ -26,9 +26,10 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
-from .core import GramMatrix, IntegerMatrix, mat_mul, mat_trace
+from .core import GramMatrix, IntegerMatrix
 
 _EPS = sys.float_info.epsilon
 # |q(x)| at or below this multiple of the coefficient-magnitude Horner sum is
@@ -69,27 +70,37 @@ class CharPoly:
 def power_sums(m: IntegerMatrix | GramMatrix) -> PowerSums:
     """Exact traces of the first n powers of a symmetric matrix.
 
-    Only powers up to ceil(n/2) are formed: for a + b = k, trace(M^k) is
-    the entrywise product sum of M^a and M^b, which holds because M is
-    symmetric.  Every caller passes a Gram matrix or a Gram inverse; other
-    input raises ValueError.
+    Every power of a symmetric M is symmetric, so only the powers up to
+    h = ceil(n/2) are formed, and of each only the half j >= i: entry
+    (i, j) of M^k is row i of M^(k-1) times row j of M, and it is written
+    to (j, i) as well.  p_k for k <= h is the diagonal sum of M^k; for
+    k > h it is the entrywise product sum of M^h and M^(k-h), since
+    trace(A B) = sum_ij A_ij B_ij for symmetric B, and both being
+    symmetric it is read off the diagonal and twice the half j > i.
+    Non-symmetric input raises ValueError.
     """
     n = m.n
     rows = m.entries
     if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
         raise ValueError("power sums need a symmetric matrix")
-    p = [0] * (n + 1)
     half = (n + 1) // 2
-    pows = [None, m]
-    for _ in range(2, half + 1):
-        pows.append(mat_mul(pows[-1], m))
-    for k in range(1, n + 1):
-        if k <= half:
-            p[k] = mat_trace(pows[k])
-        else:
-            a, b = pows[half].entries, pows[k - half].entries
-            p[k] = sum(x * y for arow, brow in zip(a, b) for x, y in zip(arow, brow))
-    return PowerSums(n, tuple(p[1:]))
+    pows = [rows]  # pows[k - 1] = M^k
+    for _ in range(1, half):
+        prev = pows[-1]
+        cur = [[0] * n for _ in range(n)]
+        for i, prow in enumerate(prev):
+            crow = cur[i]
+            for j in range(i, n):
+                crow[j] = cur[j][i] = sum(map(mul, prow, rows[j]))
+        pows.append(cur)
+    p = [sum(a[i][i] for i in range(n)) for a in pows]
+    top = pows[-1]
+    for b in pows[: n - half]:
+        p.append(sum(
+            arow[i] * brow[i] + 2 * sum(map(mul, arow[i + 1:], brow[i + 1:]))
+            for i, (arow, brow) in enumerate(zip(top, b))
+        ))
+    return PowerSums(n, tuple(p))
 
 
 def newton_identities(ps: PowerSums) -> CharPoly:

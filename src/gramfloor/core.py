@@ -17,6 +17,7 @@ module rounds; Python integers keep every product exact at any size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -210,18 +211,13 @@ def mat_mul(a: IntegerMatrix | GramMatrix, b: IntegerMatrix | GramMatrix) -> Int
     n = a.n
     bt = tuple(zip(*b.entries))
     rows = tuple(
-        tuple(sum(x * y for x, y in zip(arow, bcol)) for bcol in bt)
-        for arow in a.entries
+        tuple(sum(map(mul, arow, bcol)) for bcol in bt) for arow in a.entries
     )
     return IntegerMatrix(n, rows)
 
 
 def mat_transpose(a: IntegerMatrix) -> IntegerMatrix:
     return IntegerMatrix(a.n, tuple(zip(*a.entries)))
-
-
-def mat_trace(a: IntegerMatrix | GramMatrix) -> int:
-    return sum(a.entries[i][i] for i in range(a.n))
 
 
 def mat_abs(a: IntegerMatrix) -> IntegerMatrix:

@@ -5,6 +5,11 @@ method, so agreement between the two is evidence for both:
 
   * faddeev_leverrier: the characteristic polynomial by the
     Faddeev-LeVerrier recursion, against charpoly.newton_identities;
+  * power_sums_by_products: trace(M^k) from n - 1 full products
+    M^k = M^(k-1) M, against charpoly.power_sums and its symmetric halves;
+  * trace_equality_by_power_sums: trace((Z0^-1)^k) = trace(|Z0^-1|^k)
+    compared as power sums, against extremal.trace_equality_check and its
+    similarity D Z0^-1 D = |Z0^-1|;
   * spectral_radius_power_iteration: the spectral radius by power
     iteration, against the least eigenvalue through the reciprocal law;
   * jacobi_eigenvalues: every eigenvalue of a symmetric matrix by cyclic
@@ -20,7 +25,7 @@ method, so agreement between the two is evidence for both:
   * unfiltered_scan_block: a block scan that values every pattern through
     batched_values, against search.scan_block and its Cholesky prefilter.
 
-Three helpers that only tests call, mat_identity, index_of and
+Four helpers that only tests call, mat_identity, mat_trace, index_of and
 block_ranges, live here too.
 """
 
@@ -30,7 +35,7 @@ import math
 
 import numpy as np
 
-from gramfloor import search
+from gramfloor import extremal, search
 from gramfloor.charpoly import (
     NEWTON_CAP,
     NEWTON_TOL,
@@ -38,13 +43,14 @@ from gramfloor.charpoly import (
     _BACKSTEP,
     CharPoly,
     ConvergenceError,
+    power_sums,
 )
 from gramfloor.core import (
     GramMatrix,
     IntegerMatrix,
     LowerUnitMatrix,
+    mat_abs,
     mat_mul,
-    mat_trace,
     to_dense,
     tri,
 )
@@ -56,6 +62,10 @@ JACOBI_SWEEPS = 100
 
 def mat_identity(n: int) -> IntegerMatrix:
     return IntegerMatrix(n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+
+
+def mat_trace(a: IntegerMatrix | GramMatrix) -> int:
+    return sum(a.entries[i][i] for i in range(a.n))
 
 
 def index_of(y: LowerUnitMatrix) -> int:
@@ -97,6 +107,26 @@ def faddeev_leverrier(m: IntegerMatrix | GramMatrix) -> CharPoly:
         c[n - k] = q
     e = tuple(c[n - j] if j % 2 == 0 else -c[n - j] for j in range(1, n + 1))
     return CharPoly(n, e)
+
+
+def power_sums_by_products(m: IntegerMatrix | GramMatrix) -> tuple[int, ...]:
+    """trace(M^k) for k = 1..n, each power a full mat_mul of the one before."""
+    p = [mat_trace(m)]
+    power = m
+    for _ in range(1, m.n):
+        power = mat_mul(power, m)
+        p.append(mat_trace(power))
+    return tuple(p)
+
+
+def trace_equality_by_power_sums(n: int) -> bool:
+    """trace((Z0^-1)^k) = trace(|Z0^-1|^k) for k = 1..n, by comparing traces.
+
+    The first n power sums fix the spectrum and so every later power sum;
+    the similarity implies this equality, and is the stronger statement.
+    """
+    signed = extremal.z0_inverse_closed(n)
+    return power_sums(signed) == power_sums(mat_abs(signed))
 
 
 def _as_float_array(m) -> np.ndarray:

@@ -24,6 +24,7 @@ from gramfloor.inverse import gram_inverse
 from oracles import (
     faddeev_leverrier,
     jacobi_eigenvalues,
+    power_sums_by_products,
     spectral_radius_power_iteration,
 )
 
@@ -36,6 +37,26 @@ def test_power_sums_frozen_example():
 def test_power_sums_refuses_non_symmetric_input():
     with pytest.raises(ValueError, match="symmetric"):
         power_sums(IntegerMatrix(2, ((1, 0), (1, 1))))
+
+
+@st.composite
+def _symmetric_integer_matrices(draw):
+    n = draw(st.integers(1, 12))
+    size = tri(n + 1)
+    upper = draw(st.lists(st.integers(-1000, 1000), min_size=size, max_size=size))
+    rows = [[0] * n for _ in range(n)]
+    it = iter(upper)
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = next(it)
+    return IntegerMatrix(n, tuple(map(tuple, rows)))
+
+
+@given(_symmetric_integer_matrices())
+def test_power_sums_match_repeated_products(m):
+    # the half-products and mirrored upper halves give the traces that n - 1
+    # full products give, for odd and even n and entries of either sign
+    assert power_sums(m).p == power_sums_by_products(m)
 
 
 def test_newton_identities_frozen_examples():

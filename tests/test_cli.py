@@ -1,6 +1,7 @@
 """Exit codes, report formats, and stream separation for the CLI."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -109,6 +110,18 @@ def test_extremal_text(capsys):
     assert main(["extremal", "--n", "2", "--format", "text"]) == 0
     out = capsys.readouterr().out
     assert "Z0 inverse" in out
+
+
+def test_extremal_at_the_cap(capsys):
+    assert main(["extremal", "--n", "64"]) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out)
+    assert payload["sign_pattern_ok"] is True
+    assert payload["trace_equality_ok"] is True
+    # the report as the power-sum trace check printed it, byte for byte
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9cc6ceeea5850f96921704f7c1914daa08809a5d0278377bee50a22056002fe5"
+    )
 
 
 def test_extremal_rejects_oversize():

@@ -25,7 +25,7 @@ from gramfloor.extremal import (
     z0_inverse_closed,
 )
 from gramfloor.inverse import gram_inverse, gram_inverse_batch, invert_unit_lower
-from oracles import mat_identity
+from oracles import mat_identity, trace_equality_by_power_sums
 
 
 def test_fibonacci_sequence():
@@ -77,8 +77,9 @@ def test_sign_pattern_rejects_zero_entry():
 
 
 def test_trace_equality():
-    for n in range(1, 13):
-        assert trace_equality_check(n)
+    # the similarity and the power sums it implies, up to the CLI's cap
+    for n in [*range(1, 41), 64]:
+        assert trace_equality_check(n) and trace_equality_by_power_sums(n), n
 
 
 def test_trace_equality_rejects_one_flipped_pair(monkeypatch):
